@@ -63,8 +63,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hbmd_bench::{
-    config_at_scale, config_digest, diff, fleet, pct, resilience, BenchReport, PhaseTiming,
-    TextTable,
+    config_at_scale, config_digest, diff, fleet, pct, BenchReport, PhaseTiming, TextTable,
 };
 use hbmd_core::experiments::{
     self, adversarial, binary, ensemble, hardware, latency, multiclass, pca, robustness, roc,
@@ -696,7 +695,6 @@ fn run_monitor(
         serve::ServeContext {
             registry: Arc::clone(guard.registry()),
             manifest_json: manifest.to_json(),
-            health: None,
             fleet: Some(Arc::clone(&fleet_health)),
             debug,
         },
@@ -822,12 +820,12 @@ fn run_monitor(
     Ok(())
 }
 
-/// `repro chaos` — drive the supervised serve pipeline through injected
+/// `repro chaos` — drive a one-stream, one-shard fleet through injected
 /// worker panics, a NaN fault-plan burst, and a deliberately corrupted
-/// checkpoint, then the sharded fleet through a shard kill, a corrupted
+/// checkpoint, then a sharded fleet through a shard kill, a corrupted
 /// snapshot section, and a persistently faulty stream — asserting the
-/// recovery and bulkhead invariants the resilience and fleet layers
-/// promise. Exits 0 only when every drill passes.
+/// recovery and bulkhead invariants the shard supervisor promises.
+/// Exits 0 only when every drill passes.
 fn chaos_mode(args: &[String]) -> ExitCode {
     let mut scale = 0.05f64;
     let mut windows = 320u64;
@@ -900,7 +898,7 @@ fn run_chaos(
         "chaos: training J48 detector at scale {scale} ({} samples)...",
         config.catalog().len()
     );
-    let monitor = train_monitor(&config, "chaos")?;
+    let (detector, template) = train_monitor(&config, "chaos")?.into_parts();
     let digest = u64::from_str_radix(&config_digest(&config), 16).expect("digest is 16 hex digits");
     let sampler = &config.collector.sampler;
 
@@ -916,37 +914,45 @@ fn run_chaos(
         passed &= ok;
     };
 
+    // Drills 1-4 and 8 run one stream on one shard, so the shard's
+    // supervisor, checkpoint and breaker see every fault.
+    let single = fleet::FleetConfig {
+        pristine_stream: template.clone(),
+        queue_capacity: 32,
+        ..fleet::FleetConfig::lossless(1, 1, windows)
+    };
+    let stream_verdicts = |report: &fleet::FleetReport| report.verdicts.get(&0).cloned();
+
     // Drill 1: the unfaulted baseline verdict stream.
-    let baseline = resilience::run_pipeline(
-        &monitor,
-        sampler,
-        &resilience::PipelineConfig::lossless(windows),
-    )?;
+    let baseline = fleet::run_fleet(&detector, sampler, &single)?;
+    let baseline_verdicts = stream_verdicts(&baseline);
     check(
-        baseline.verdicts.iter().all(Option::is_some) && baseline.restarts == 0,
+        baseline_verdicts
+            .as_ref()
+            .is_some_and(|v| v.iter().all(Option::is_some))
+            && baseline.restarts == 0,
         "baseline run classifies every window without restarts",
     );
 
     // Drill 2: injected worker panics. Recovery must replay from the
     // last checkpoint and converge on the exact baseline verdicts.
-    let panic_at = vec![windows / 3, 2 * windows / 3];
-    let faulted = resilience::run_pipeline(
-        &monitor,
+    let faulted = fleet::run_fleet(
+        &detector,
         sampler,
-        &resilience::PipelineConfig {
+        &fleet::FleetConfig {
             checkpoint_every,
             checkpoint_path: Some(checkpoint.clone()),
             config_digest: digest,
-            panic_at: panic_at.clone(),
-            ..resilience::PipelineConfig::lossless(windows)
+            panic_at: vec![(0, windows / 3), (0, 2 * windows / 3)],
+            ..single.clone()
         },
     )?;
     check(
-        faulted.restarts == panic_at.len() as u64,
+        faulted.restarts == 2,
         "supervisor restarted the worker once per injected panic",
     );
     check(
-        faulted.verdicts == baseline.verdicts,
+        stream_verdicts(&faulted) == baseline_verdicts,
         "post-restore verdicts are identical to the unfaulted run",
     );
     check(
@@ -958,14 +964,15 @@ fn run_chaos(
         "final checkpoint flushed on clean shutdown",
     );
 
-    // Drill 3: corrupt the checkpoint on disk. Loading must refuse it
-    // with a typed error, and a pipeline restart must fall back to the
-    // pristine monitor and still converge on the baseline.
+    // Drill 3: corrupt the checkpoint's detector section on disk.
+    // Loading must refuse the whole file with a typed error, and a
+    // restart must fall back pristine and still converge on the
+    // baseline.
     let mut bytes = std::fs::read(&checkpoint)?;
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
+    let detector_span = snapshot::fleet_detector_span(&bytes)?;
+    bytes[detector_span.start] ^= 0x01;
     std::fs::write(&checkpoint, &bytes)?;
-    let refusal = snapshot::load(&checkpoint, digest);
+    let refusal = snapshot::load_fleet(&checkpoint, digest);
     check(
         matches!(refusal, Err(SnapshotError::ChecksumMismatch { .. })),
         "corrupted checkpoint refused with a typed checksum error",
@@ -973,31 +980,31 @@ fn run_chaos(
     if let Err(e) = &refusal {
         eprintln!("chaos: refusal was: {e}");
     }
-    let recovered = resilience::run_pipeline(
-        &monitor,
+    let recovered = fleet::run_fleet(
+        &detector,
         sampler,
-        &resilience::PipelineConfig {
+        &fleet::FleetConfig {
             checkpoint_every,
             checkpoint_path: Some(checkpoint.clone()),
             config_digest: digest,
-            ..resilience::PipelineConfig::lossless(windows)
+            ..single.clone()
         },
     )?;
     check(
-        recovered.refusals >= 1 && recovered.verdicts == baseline.verdicts,
+        recovered.refusals >= 1 && stream_verdicts(&recovered) == baseline_verdicts,
         "corrupt-checkpoint start falls back to retrain and matches the baseline",
     );
 
     // Drill 4: a hostile NaN burst. The sanitizer abstains, the breaker
     // trips into degraded operation, and classification resumes after
     // the burst passes.
-    let burst = (windows / 4, windows / 4 + 64);
-    let stormy = resilience::run_pipeline(
-        &monitor,
+    let burst = (0, windows / 4, windows / 4 + 64);
+    let stormy = fleet::run_fleet(
+        &detector,
         sampler,
-        &resilience::PipelineConfig {
-            nan_burst: Some(burst),
-            ..resilience::PipelineConfig::lossless(windows)
+        &fleet::FleetConfig {
+            nan_streams: vec![burst],
+            ..single.clone()
         },
     )?;
     check(
@@ -1005,7 +1012,7 @@ fn run_chaos(
         "NaN burst trips the breaker into degraded operation",
     );
     check(
-        stormy.verdicts.last().is_some_and(Option::is_some),
+        stream_verdicts(&stormy).is_some_and(|v| v.last().is_some_and(Option::is_some)),
         "classification resumes after the burst clears",
     );
 
@@ -1015,8 +1022,6 @@ fn run_chaos(
     // fleet's verdict streams are byte-identical to an unfaulted run.
     let fleet_checkpoint = dir.join("fleet.snap");
     let _ = std::fs::remove_file(&fleet_checkpoint);
-    let detector = monitor.shared_detector();
-    let template = StreamState::new(4, 3, 1, 1)?;
     let (streams, shards, fleet_windows) = (24u64, 4usize, 96u64);
     let base_cfg = fleet::FleetConfig {
         pristine_stream: template.clone(),
@@ -1170,13 +1175,13 @@ fn run_chaos(
             .with_deterministic(true)
             .with_families(AppClass::ALL.iter().map(|c| c.name().to_owned()).collect()),
     );
-    let recorded = resilience::run_pipeline(
-        &monitor,
+    let recorded = fleet::run_fleet(
+        &detector,
         sampler,
-        &resilience::PipelineConfig {
-            nan_burst: Some(burst),
+        &fleet::FleetConfig {
+            nan_streams: vec![burst],
             recorder: Some(Arc::clone(&hub)),
-            ..resilience::PipelineConfig::lossless(windows)
+            ..single
         },
     )?;
     check(

@@ -1,5 +1,5 @@
 //! `repro bench-diff` — compare two `BENCH_repro.json` reports and
-//! fail on wall-clock or cache regressions.
+//! fail on wall-clock, throughput or cache regressions.
 //!
 //! The comparison refuses to run across *different workloads*: both
 //! reports must carry the same crate version, the same
@@ -11,7 +11,10 @@
 //! Within a compatible pair, a phase regresses when its wall-clock
 //! exceeds `baseline * (1 + max_regress_pct/100) + SLACK_MS`; the
 //! additive slack keeps sub-100 ms phases from tripping the gate on
-//! scheduler noise. Cache misses regress on any increase — the miss
+//! scheduler noise. A phase that reports `windows_per_sec` also
+//! regresses when its rate drops by the same factor:
+//! `current * (1 + max_regress_pct/100) < baseline`. Cache misses
+//! regress on any increase — the miss
 //! counter equals the number of distinct collector configurations
 //! collected, so an increase means memoization broke.
 
@@ -37,8 +40,9 @@ pub struct LoadedReport {
     /// Experiment-layer threads (informational; normalized out of the
     /// digest).
     pub threads: u64,
-    /// Phase name → wall-clock ms, in run order.
-    pub phases: Vec<(String, u64)>,
+    /// Phase name → (wall-clock ms, windows/sec when the phase
+    /// measures one), in run order.
+    pub phases: Vec<(String, u64, Option<f64>)>,
     /// Collection-cache hits.
     pub cache_hits: u64,
     /// Collection-cache misses (== distinct collector configs).
@@ -86,7 +90,11 @@ pub fn parse_report(text: &str) -> Result<LoadedReport, String> {
                 .get("wall_ms")
                 .and_then(Value::as_u64)
                 .ok_or("phase without numeric `wall_ms`")?;
-            Ok((name.to_owned(), wall))
+            let rate = match p.get("windows_per_sec") {
+                None => None,
+                Some(rate) => Some(rate.as_f64().ok_or("non-numeric `windows_per_sec`")?),
+            };
+            Ok((name.to_owned(), wall, rate))
         })
         .collect::<Result<Vec<_>, String>>()?;
     let cache = root.get("cache").ok_or("missing `cache` object")?;
@@ -122,7 +130,9 @@ pub struct PhaseDiff {
     pub current_ms: u64,
     /// Signed relative change (`0.10` = 10% slower).
     pub delta: f64,
-    /// Whether this phase trips the gate.
+    /// Baseline → current windows/sec, for phases that measure it.
+    pub rate: Option<(f64, f64)>,
+    /// Whether this phase trips the gate (wall-clock or throughput).
     pub regressed: bool,
 }
 
@@ -151,13 +161,23 @@ impl DiffReport {
     /// Render the comparison as an aligned text table plus a verdict
     /// line.
     pub fn render(&self) -> String {
-        let mut table = TextTable::new(vec!["phase", "baseline ms", "current ms", "delta", "gate"]);
+        let mut table = TextTable::new(vec![
+            "phase",
+            "baseline ms",
+            "current ms",
+            "delta",
+            "windows/sec",
+            "gate",
+        ]);
         for phase in &self.phases {
             table.row(vec![
                 phase.name.clone(),
                 phase.baseline_ms.to_string(),
                 phase.current_ms.to_string(),
                 format!("{:+.1}%", phase.delta * 100.0),
+                phase.rate.map_or("-".to_owned(), |(base, curr)| {
+                    format!("{base:.0} -> {curr:.0}")
+                }),
                 if phase.regressed {
                     "REGRESSED".to_owned()
                 } else {
@@ -198,8 +218,8 @@ impl DiffReport {
 /// # Errors
 ///
 /// Returns a message (and no diff) when the reports are incompatible:
-/// different versions, different config digests, or different phase
-/// lists.
+/// different versions, different config digests, different phase
+/// lists, or phases that report a throughput in only one of the two.
 pub fn diff(
     baseline: &LoadedReport,
     current: &LoadedReport,
@@ -219,12 +239,19 @@ pub fn diff(
             baseline.config_digest, current.config_digest, baseline.scale, current.scale
         ));
     }
-    let base_names: Vec<&str> = baseline.phases.iter().map(|(n, _)| n.as_str()).collect();
-    let curr_names: Vec<&str> = current.phases.iter().map(|(n, _)| n.as_str()).collect();
+    let base_names: Vec<&str> = baseline.phases.iter().map(|p| p.0.as_str()).collect();
+    let curr_names: Vec<&str> = current.phases.iter().map(|p| p.0.as_str()).collect();
     if base_names != curr_names {
         return Err(format!(
             "incomparable: phase lists differ ({base_names:?} vs {curr_names:?})"
         ));
+    }
+    for ((name, _, base), (_, _, curr)) in baseline.phases.iter().zip(&current.phases) {
+        if base.is_some() != curr.is_some() {
+            return Err(format!(
+                "incomparable: phase `{name}` reports windows_per_sec in only one report"
+            ));
+        }
     }
 
     let gate = |base: u64, curr: u64| -> (f64, bool) {
@@ -243,14 +270,18 @@ pub fn diff(
         .phases
         .iter()
         .zip(&current.phases)
-        .map(|((name, base), (_, curr))| {
-            let (delta, regressed) = gate(*base, *curr);
+        .map(|((name, base, base_rate), (_, curr, curr_rate))| {
+            let (delta, slower) = gate(*base, *curr);
+            let rate = base_rate.zip(*curr_rate);
+            let throttled =
+                rate.is_some_and(|(base, curr)| curr * (1.0 + max_regress_pct / 100.0) < base);
             PhaseDiff {
                 name: name.clone(),
                 baseline_ms: *base,
                 current_ms: *curr,
                 delta,
-                regressed,
+                rate,
+                regressed: slower || throttled,
             }
         })
         .collect();
@@ -260,6 +291,7 @@ pub fn diff(
         baseline_ms: baseline.total_ms,
         current_ms: current.total_ms,
         delta,
+        rate: None,
         regressed,
     });
 
@@ -284,6 +316,15 @@ mod tests {
     use crate::{BenchReport, PhaseTiming};
 
     fn report(wall: &[(&str, u128)], misses: usize, total: u128) -> String {
+        report_with_rate(wall, None, misses, total)
+    }
+
+    fn report_with_rate(
+        wall: &[(&str, u128)],
+        rate: Option<f64>,
+        misses: usize,
+        total: u128,
+    ) -> String {
         BenchReport {
             version: "1.2.3".to_owned(),
             config_digest: "abcd".to_owned(),
@@ -295,7 +336,7 @@ mod tests {
                 .map(|(n, ms)| PhaseTiming {
                     name: (*n).to_owned(),
                     wall_ms: *ms,
-                    windows_per_sec: None,
+                    windows_per_sec: rate,
                 })
                 .collect(),
             cache_hits: 3,
@@ -310,7 +351,7 @@ mod tests {
         let loaded = parse_report(&report(&[("fig13", 1200)], 2, 1500)).expect("parse");
         assert_eq!(loaded.version, "1.2.3");
         assert_eq!(loaded.config_digest, "abcd");
-        assert_eq!(loaded.phases, vec![("fig13".to_owned(), 1200)]);
+        assert_eq!(loaded.phases, vec![("fig13".to_owned(), 1200, None)]);
         assert_eq!(loaded.cache_misses, 2);
         assert_eq!(loaded.total_ms, 1500);
     }
@@ -368,11 +409,52 @@ mod tests {
         other.config_digest = "ffff".to_owned();
         let err = diff(&baseline, &other, 20.0).expect_err("must refuse");
         assert!(err.contains("different workloads"), "{err}");
+        let mut rate_skew = baseline.clone();
+        rate_skew.phases[0].2 = Some(100.0);
+        assert!(diff(&baseline, &rate_skew, 20.0).is_err());
         let mut version_skew = baseline.clone();
         version_skew.version = "9.9.9".to_owned();
         assert!(diff(&baseline, &version_skew, 20.0).is_err());
         let mut phase_skew = baseline.clone();
         phase_skew.phases[0].0 = "fig14".to_owned();
         assert!(diff(&baseline, &phase_skew, 20.0).is_err());
+    }
+
+    #[test]
+    fn throughput_drop_fails_the_gate() {
+        let baseline =
+            parse_report(&report_with_rate(&[("fleet", 1000)], Some(600.0), 2, 1200)).unwrap();
+        // Same wall-clock, 20% fewer windows/sec: inside a 50% gate.
+        let current =
+            parse_report(&report_with_rate(&[("fleet", 1000)], Some(480.0), 2, 1200)).unwrap();
+        assert!(!diff(&baseline, &current, 50.0).unwrap().regressed());
+        // A rate a third of the baseline's is a 3x slowdown: over 50%.
+        let current =
+            parse_report(&report_with_rate(&[("fleet", 1000)], Some(200.0), 2, 1200)).unwrap();
+        let result = diff(&baseline, &current, 50.0).expect("compatible");
+        assert!(result.phases[0].regressed, "{}", result.render());
+        assert!(result.render().contains("600 -> 200"));
+    }
+
+    #[test]
+    fn committed_baseline_and_ci_gate_run_the_gated_phases() {
+        let baseline = parse_report(include_str!("../../../BENCH_repro.json"))
+            .expect("committed baseline parses");
+        let phases: Vec<&str> = baseline.phases.iter().map(|p| p.0.as_str()).collect();
+        assert_eq!(phases, crate::GATE_PHASES);
+
+        let ci = include_str!("../../../.github/workflows/ci.yml");
+        let gate_job = &ci[ci.find("bench-gate:").expect("bench-gate job")..];
+        let run = gate_job
+            .lines()
+            .find(|line| line.contains("repro --fast"))
+            .expect("timed run in bench-gate");
+        let invoked: Vec<&str> = run
+            .split_whitespace()
+            .skip_while(|word| *word != "--fast")
+            .skip(1)
+            .take_while(|word| !word.starts_with("--"))
+            .collect();
+        assert_eq!(invoked, crate::GATE_PHASES);
     }
 }

@@ -40,7 +40,7 @@ use hbmd_core::snapshot::{self, StreamSection};
 use hbmd_core::supervisor::{Backoff, BreakerState, CircuitBreaker};
 use hbmd_core::{CoreError, Detector, OnlineVerdict, StreamState};
 use hbmd_events::{FeatureVector, HpcEvent};
-use hbmd_malware::{Sample, SampleId};
+use hbmd_malware::{AppClass, Sample, SampleId};
 use hbmd_obs::health::{FleetHealth, ServiceState};
 use hbmd_obs::recorder::{
     Event as RecorderEvent, FaultKind, FeatureFrame, RecorderHub, StandingKind, Trigger,
@@ -48,7 +48,23 @@ use hbmd_obs::recorder::{
 };
 use hbmd_perf::{PerfError, Sampler, SamplerConfig};
 
-use crate::resilience::{PHASES, WINDOWS_PER_SAMPLE};
+/// Windows per synthetic sample on the serve timeline.
+pub const WINDOWS_PER_SAMPLE: u64 = 16;
+
+/// The repeating phase schedule: benign background with each malware
+/// family injected in turn.
+pub const PHASES: [AppClass; 10] = [
+    AppClass::Benign,
+    AppClass::Worm,
+    AppClass::Benign,
+    AppClass::Virus,
+    AppClass::Benign,
+    AppClass::Trojan,
+    AppClass::Benign,
+    AppClass::Rootkit,
+    AppClass::Benign,
+    AppClass::Backdoor,
+];
 
 /// The deterministic per-stream synthetic workload: window `k` of
 /// stream `s` is a pure function of `(s, k)` — each stream follows the
@@ -82,7 +98,7 @@ impl FleetTimeline {
     }
 
     /// The ground-truth class of stream `stream` at window `cursor`.
-    pub fn class_at(stream: u64, cursor: u64) -> hbmd_malware::AppClass {
+    pub fn class_at(stream: u64, cursor: u64) -> AppClass {
         let sample_index = cursor / WINDOWS_PER_SAMPLE;
         PHASES[((sample_index + stream) % PHASES.len() as u64) as usize]
     }
@@ -312,6 +328,9 @@ struct Checkpointer {
 
 impl Checkpointer {
     fn commit(&self, updates: Vec<StreamSection>) {
+        // The lock is held through the write: shards committing at once
+        // would otherwise race on the one temporary file, and an older
+        // view could be renamed over a newer one.
         let mut sections = self
             .sections
             .lock()
@@ -320,7 +339,6 @@ impl Checkpointer {
             sections.insert(section.stream, section);
         }
         let all: Vec<StreamSection> = sections.values().cloned().collect();
-        drop(sections);
         match snapshot::save_fleet(
             &self.detector,
             self.shards,
@@ -481,6 +499,7 @@ pub fn run_fleet(
     });
 
     let fleet_processed = Arc::new(AtomicU64::new(0));
+    let obs = hbmd_obs::inherit();
     let mut handles = Vec::with_capacity(shards);
     for (shard, owned) in shard_streams.into_iter().enumerate() {
         let cells: Vec<StreamCell> = owned.iter().map(|&s| cell_for(s)).collect();
@@ -500,10 +519,14 @@ pub fn run_fleet(
             fleet_processed: Arc::clone(&fleet_processed),
             started,
         };
+        let obs = obs.clone();
         handles.push(
             std::thread::Builder::new()
                 .name(format!("hbmd-shard-{shard}"))
-                .spawn(move || shard_supervisor(ctx, cells))
+                .spawn(move || {
+                    obs.enter();
+                    shard_supervisor(ctx, cells)
+                })
                 .map_err(|e| CoreError::Config(format!("spawn shard supervisor: {e}")))?,
         );
     }
@@ -848,9 +871,11 @@ fn spawn_shard_producer(
     let fleet_health = ctx.cfg.fleet_health.clone();
     let shard = ctx.shard;
     let start_min = starts.iter().copied().min().unwrap_or(0);
+    let obs = hbmd_obs::inherit();
     std::thread::Builder::new()
         .name(format!("hbmd-timeline-{shard}"))
         .spawn(move || {
+            obs.enter();
             let mut cursor = start_min;
             'sweep: while limit == 0 || cursor < limit {
                 for (slot, &stream) in streams.iter().enumerate() {
@@ -938,7 +963,7 @@ fn standing_kind(standing: StreamStanding) -> StandingKind {
 /// Builds the flight-recorder record for one observed window: the
 /// verdict, vote margin, abstention flag, and the post-sanitize
 /// feature values (a fixed-size stack copy — no allocation).
-pub(crate) fn window_event(
+fn window_event(
     stream: u64,
     cursor: u64,
     verdict: OnlineVerdict,
@@ -964,6 +989,25 @@ pub(crate) fn window_event(
         of,
         abstained,
         features: FeatureFrame::from_slice(window.as_slice()),
+    }
+}
+
+/// Builds the flight-recorder record for a window whose ensemble
+/// disagreement crossed the stream's suspicion threshold: the measured
+/// dispersion next to the threshold, both in permille.
+fn disagreement_event(
+    detector: &Detector,
+    state: &StreamState,
+    stream: u64,
+    cursor: u64,
+    window: &FeatureVector,
+) -> RecorderEvent {
+    let permille = |x: f64| (x.clamp(0.0, 1.0) * 1000.0).round() as u16;
+    RecorderEvent::Disagreement {
+        stream,
+        cursor,
+        dispersion_permille: permille(detector.suspicion(window).unwrap_or(0.0)),
+        threshold_permille: permille(state.suspicion_threshold().unwrap_or(0.0)),
     }
 }
 
@@ -1086,6 +1130,18 @@ fn shard_worker(
                         ctx.shard as u32,
                         &window_event(cell.stream, cursor, verdict, faulted, &window),
                     );
+                    if cell.state.last_window_suspicious() {
+                        hub.record(
+                            ctx.shard as u32,
+                            &disagreement_event(
+                                &ctx.detector,
+                                &cell.state,
+                                cell.stream,
+                                cursor,
+                                &window,
+                            ),
+                        );
+                    }
                 }
                 let before_standing = cell.health.standing();
                 let after_standing = cell.health.record(faulted);

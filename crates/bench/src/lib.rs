@@ -6,9 +6,13 @@
 pub mod diff;
 pub mod fleet;
 mod report;
-pub mod resilience;
 
 pub use report::{BenchReport, PhaseTiming};
+
+/// The `repro --fast` phases CI's bench gate times and diffs against
+/// the committed `BENCH_repro.json`; the baseline is regenerated with
+/// exactly these.
+pub const GATE_PHASES: [&str; 5] = ["table1", "fig13", "fleet", "predict", "adversarial"];
 
 use hbmd_core::experiments::ExperimentConfig;
 use hbmd_perf::CollectorConfig;

@@ -1,16 +1,18 @@
 //! Integration tests for the sharded fleet pipeline: per-stream
 //! verdict streams must be byte-identical at any shard count, a shard
 //! kill must stay invisible behind its bulkhead, the multiplexed
-//! checkpoint must resume instead of replaying, and a faulty stream
-//! must be quarantined without touching its neighbors.
+//! checkpoint must resume instead of replaying (and be refused under a
+//! different config digest), a faulty stream must be quarantined
+//! without touching its neighbors, and a NaN burst must degrade — not
+//! kill — a shard.
 
 use std::path::PathBuf;
 
 use hbmd_bench::fleet::{run_fleet, FleetConfig};
 use hbmd_core::{shard_of, ClassifierKind, Detector, DetectorBuilder, FeatureSet, StreamState};
 use hbmd_events::{FeatureVector, HpcEvent};
-use hbmd_malware::{AppClass, SampleId};
-use hbmd_perf::{DataRow, HpcDataset, SamplerConfig};
+use hbmd_malware::{AppClass, SampleCatalog, SampleId};
+use hbmd_perf::{Collector, CollectorConfig, DataRow, HpcDataset, SamplerConfig};
 use std::sync::Arc;
 
 fn features(level: f64) -> FeatureVector {
@@ -192,4 +194,75 @@ fn faulty_stream_is_quarantined_without_touching_neighbors() {
             "stream {stream}'s verdicts changed because a neighbor was quarantined"
         );
     }
+}
+
+#[test]
+fn mismatched_digest_forces_a_pristine_start() {
+    let detector = detector();
+    let sampler = SamplerConfig::fast();
+    let checkpoint = scratch("digest.snap");
+    let _ = std::fs::remove_file(&checkpoint);
+    let run = |digest: u64| {
+        run_fleet(
+            &detector,
+            &sampler,
+            &FleetConfig {
+                checkpoint_every: 16,
+                checkpoint_path: Some(checkpoint.clone()),
+                config_digest: digest,
+                ..config(1, 1, 64)
+            },
+        )
+    };
+    run(0xBEEF).expect("first run");
+
+    // Same snapshot, different run configuration: the checkpoint must
+    // be refused and the run restarted from scratch, not resumed into
+    // a detector trained under different assumptions.
+    let other = run(0xF00D).expect("mismatched run");
+    assert_eq!(other.refusals, 1, "config-digest mismatch must be refused");
+    assert_eq!(other.processed, 64, "refusal falls back to a full run");
+    let _ = std::fs::remove_file(&checkpoint);
+}
+
+#[test]
+fn nan_burst_degrades_and_recovers() {
+    // Trained on sampled windows, so the sanitizer accepts the clean
+    // windows around the burst and only the burst itself abstains.
+    let dataset = Collector::new(CollectorConfig::fast())
+        .expect("static config")
+        .collect(&SampleCatalog::scaled(0.03, 17))
+        .expect("pristine pipeline")
+        .dataset;
+    let detector = Arc::new(
+        DetectorBuilder::new()
+            .classifier(ClassifierKind::J48)
+            .feature_set(FeatureSet::Top(8))
+            .train_binary(&dataset)
+            .expect("train on sampled windows"),
+    );
+    let report = run_fleet(
+        &detector,
+        &SamplerConfig::fast(),
+        &FleetConfig {
+            pristine_stream: StreamState::new(4, 3, 1, 1).expect("static shape"),
+            queue_capacity: 32,
+            nan_streams: vec![(0, 32, 96)],
+            ..FleetConfig::lossless(1, 1, 160)
+        },
+    )
+    .expect("stormy run");
+    assert!(
+        report.trips >= 1,
+        "a sustained NaN burst must trip the breaker"
+    );
+    assert!(report.degraded > 0, "an open breaker must skip windows");
+    assert_eq!(report.restarts, 0, "degradation is not a crash");
+    assert!(
+        report.verdicts[&0]
+            .last()
+            .expect("capture enabled")
+            .is_some(),
+        "classification must resume after the burst clears"
+    );
 }

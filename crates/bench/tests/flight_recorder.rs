@@ -1,13 +1,11 @@
-//! The flight recorder's determinism contract: two same-seed fleet
-//! runs, each recording into its own hub, must freeze into
-//! byte-identical diagnostic bundles — every file, the checksummed
-//! `MANIFEST` included. This is what makes a bundle attached to a bug
-//! report reproducible evidence rather than a one-off artifact.
-//!
-//! Kept as the single test in this binary: each run installs a fresh
-//! obs context and snapshots its registry into `metrics.json`, so a
-//! concurrently-running test incrementing global counters would break
-//! byte-identity.
+//! The flight recorder through the fleet. Its determinism contract:
+//! two same-seed fleet runs, each recording into its own hub, must
+//! freeze into byte-identical diagnostic bundles — every file, the
+//! checksummed `MANIFEST` included. This is what makes a bundle
+//! attached to a bug report reproducible evidence rather than a
+//! one-off artifact. Each run installs its own obs context, which the
+//! fleet's shard threads inherit, so tests running alongside cannot
+//! leak counters into a bundle's `metrics.json`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -15,10 +13,10 @@ use std::sync::Arc;
 use hbmd_bench::fleet::{run_fleet, FleetConfig};
 use hbmd_core::{ClassifierKind, Detector, DetectorBuilder, FeatureSet, StreamState};
 use hbmd_events::{FeatureVector, HpcEvent};
-use hbmd_malware::{AppClass, SampleId};
-use hbmd_obs::recorder::{read_bundle, RecorderHub, Trigger, MANIFEST_FILE};
+use hbmd_malware::{AppClass, SampleCatalog, SampleId};
+use hbmd_obs::recorder::{read_bundle, Event, RecorderHub, Trigger, MANIFEST_FILE};
 use hbmd_obs::Obs;
-use hbmd_perf::{DataRow, HpcDataset, SamplerConfig};
+use hbmd_perf::{Collector, CollectorConfig, DataRow, HpcDataset, SamplerConfig};
 
 fn features(level: f64) -> FeatureVector {
     FeatureVector::from_slice(&[level; HpcEvent::COUNT]).expect("full-width vector")
@@ -109,4 +107,61 @@ fn same_seed_fleet_runs_freeze_into_byte_identical_bundles() {
         let parent = root.parent().expect("bundle parent").to_path_buf();
         let _ = std::fs::remove_dir_all(parent);
     }
+}
+
+#[test]
+fn suspicious_windows_record_disagreement_events() {
+    // A forest trained on sampled windows disagrees with itself on some
+    // of the fleet's windows; a low suspicion threshold flags them.
+    let catalog = SampleCatalog::scaled(0.03, 17);
+    let dataset = Collector::new(CollectorConfig::fast())
+        .expect("static config")
+        .collect(&catalog)
+        .expect("pristine pipeline")
+        .dataset;
+    let forest = Arc::new(
+        DetectorBuilder::new()
+            .classifier(ClassifierKind::RandomForest)
+            .train_binary(&dataset)
+            .expect("train forest"),
+    );
+    let guard = hbmd_obs::install(Obs::new());
+    let hub = Arc::new(RecorderHub::new(1, 1024));
+    let config = FleetConfig {
+        pristine_stream: StreamState::new(4, 3, 1, 1)
+            .and_then(|state| state.with_suspicion_threshold(0.01))
+            .expect("valid shape"),
+        breaker: (257, usize::MAX, 32),
+        recorder: Some(Arc::clone(&hub)),
+        ..FleetConfig::lossless(4, 1, 64)
+    };
+    run_fleet(&forest, &SamplerConfig::fast(), &config).expect("fleet run");
+
+    let disagreements: Vec<(u64, u16)> = hub
+        .ring(0)
+        .drain()
+        .into_iter()
+        .filter_map(|(_, event)| match event {
+            Event::Disagreement {
+                stream,
+                threshold_permille,
+                ..
+            } => Some((stream, threshold_permille)),
+            _ => None,
+        })
+        .collect();
+    assert!(!disagreements.is_empty(), "no disagreement event recorded");
+    assert!(disagreements
+        .iter()
+        .all(|&(stream, threshold)| stream < 4 && threshold == 10));
+    // One event per trip the streams counted, in the context the shard
+    // threads inherited.
+    assert_eq!(
+        guard
+            .registry()
+            .snapshot()
+            .counter("online.disagreement_trips"),
+        disagreements.len() as u64
+    );
+    drop(guard);
 }

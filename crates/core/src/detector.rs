@@ -6,7 +6,6 @@ use hbmd_malware::AppClass;
 use hbmd_ml::{Classifier, CompiledModel, Evaluation};
 use hbmd_obs::{Counter, Histogram, Timer};
 use hbmd_perf::HpcDataset;
-use serde::{Deserialize, Serialize};
 
 use crate::convert::{to_binary_dataset, to_multiclass_dataset};
 use crate::error::CoreError;
@@ -15,7 +14,7 @@ use crate::sanitize::{SanitizeOutcome, Sanitizer};
 use crate::suite::{ClassifierKind, TrainedModel};
 
 /// Detection granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DetectorMode {
     /// Benign vs malware.
     Binary,
@@ -24,7 +23,7 @@ pub enum DetectorMode {
 }
 
 /// A single sampling window's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// The window looks benign.
     Benign,

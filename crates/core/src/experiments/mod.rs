@@ -36,13 +36,12 @@ pub mod roc;
 
 use hbmd_malware::{AppClass, SampleCatalog};
 use hbmd_perf::{CollectorConfig, HpcDataset, PerfError};
-use serde::{Deserialize, Serialize};
 
 use cache::{CollectCache, Collection};
 use std::sync::Arc;
 
 /// Shared experiment parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Fraction of the paper catalog to generate (1.0 = all 3,070
     /// samples).
@@ -131,7 +130,7 @@ impl Default for ExperimentConfig {
 }
 
 /// One row of the Table 1 / Figure 6 census.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CensusRow {
     /// Application class.
     pub class: AppClass,

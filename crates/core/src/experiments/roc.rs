@@ -8,7 +8,6 @@
 
 use hbmd_ml::par::try_par_map;
 use hbmd_ml::{Dataset, LinearSvm, Mlr, RocCurve, RocPoint};
-use serde::{Deserialize, Serialize};
 
 use crate::convert::to_binary_dataset;
 use crate::error::CoreError;
@@ -17,7 +16,7 @@ use crate::experiments::ExperimentConfig;
 use crate::features::{FeaturePlan, FeatureSet};
 
 /// One scheme's ROC summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RocRow {
     /// Scheme name.
     pub scheme: String,

@@ -9,14 +9,13 @@
 use hbmd_events::HpcEvent;
 use hbmd_malware::AppClass;
 use hbmd_ml::Pca;
-use serde::{Deserialize, Serialize};
 
 use crate::convert::to_binary_dataset;
 use crate::error::CoreError;
 use hbmd_perf::HpcDataset;
 
 /// Which feature columns a detector consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureSet {
     /// All 16 collected counters.
     Full16,
@@ -69,7 +68,7 @@ impl FeatureSet {
 /// assert_eq!(common.len(), 4);
 /// # Ok::<(), hbmd_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeaturePlan {
     /// Top-ranked column indices on the full (binary) dataset, best
     /// first.

@@ -68,7 +68,7 @@ pub use fleet::{shard_of, StreamHealth, StreamHealthConfig, StreamStanding};
 pub use hbmd_ml::par;
 pub use online::{OnlineDetector, OnlineDetectorBuilder, OnlineVerdict, StreamState};
 pub use sanitize::{SanitizeOutcome, Sanitizer};
-pub use snapshot::{FleetRestore, MonitorSnapshot, SnapshotError, StreamSection};
+pub use snapshot::{FleetRestore, SnapshotError, StreamSection};
 pub use suite::{ClassifierKind, TrainedModel};
 pub use supervisor::{Backoff, BreakerState, CircuitBreaker};
 pub use voting::VotingDetector;

@@ -3,13 +3,12 @@ use std::sync::Arc;
 
 use hbmd_events::FeatureVector;
 use hbmd_malware::AppClass;
-use serde::{Deserialize, Serialize};
 
 use crate::detector::{Detector, Verdict};
 use crate::error::CoreError;
 
 /// Aggregated run-time decision after one more sampling window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OnlineVerdict {
     /// Not enough windows observed yet.
     Warmup,
@@ -525,10 +524,9 @@ impl StreamState {
 
 use hbmd_ml::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-/// The stream-only half of the snapshot layout — the bytes the v1
-/// [`OnlineDetector`] encoding wrote after the detector (so the
-/// monitor codec composes `detector.snap` + `state.snap` unchanged),
-/// followed by the v2 disagreement-alarm tail.
+/// A stream's vote/hysteresis state as it is written into each stream
+/// section of a fleet snapshot, ending with the v2 disagreement-alarm
+/// tail.
 impl Snap for StreamState {
     fn snap(&self, w: &mut SnapWriter) {
         self.window.snap(w);
@@ -620,21 +618,6 @@ impl Snap for StreamState {
             latched,
             suspicion_threshold,
             last_suspicious: false,
-        })
-    }
-}
-
-impl Snap for OnlineDetector {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.detector.snap(w);
-        self.state.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let detector = Detector::unsnap(r)?;
-        let state = StreamState::unsnap(r)?;
-        Ok(OnlineDetector {
-            detector: Arc::new(detector),
-            state,
         })
     }
 }

@@ -20,7 +20,6 @@
 
 use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_perf::HpcDataset;
-use serde::{Deserialize, Serialize};
 
 /// Slack factor over the training maximum before a value counts as
 /// out-of-range: legitimate unseen workloads run somewhat hotter than
@@ -96,7 +95,7 @@ impl SanitizeOutcome {
 ///     SanitizeOutcome::Repaired { repaired: 1, .. }
 /// ));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sanitizer {
     /// Per-column training median (imputation value).
     medians: Vec<f64>,

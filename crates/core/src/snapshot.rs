@@ -1,48 +1,47 @@
-//! Crash-safe checkpointing of a live online monitor — and, for fleet
-//! deployments, multiplexed snapshots of thousands of streams in one
-//! file (see the *Multiplexed fleet snapshots* section below).
+//! Crash-safe, multiplexed checkpointing of a live fleet monitor: the
+//! shared trained [`Detector`] plus every stream's resume cursor,
+//! vote/hysteresis [`StreamState`] and [`StreamHealth`] in one file.
 //!
-//! A snapshot freezes everything the serve pipeline needs to resume
-//! after a crash without retraining: the trained [`Detector`] (model,
-//! feature projection, evaluation, sanitizer), the live
-//! [`OnlineDetector`] state (vote-window ring, hysteresis counters,
-//! latched alarm), and the timeline cursor (windows already observed).
+//! A snapshot freezes everything the fleet needs to resume after a
+//! crash without retraining. Each shard supervisor commits its streams'
+//! sections; the file is always rewritten whole.
 //!
 //! # File layout
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic  b"HBMDSNAP"
-//! 8       4     format version (little-endian u32, currently 1)
-//! 12      8     config digest (little-endian u64, FNV-1a of the run config)
-//! 20      8     payload length (little-endian u64)
-//! 28      n     payload ([`Snap`]-encoded monitor + cursor)
-//! 28+n    8     FNV-1a 64 checksum of bytes [8 .. 28+n]
+//! 0       8     magic  b"HBMDFLTS"
+//! 8       4     format version (LE u32, currently 1)
+//! 12      8     config digest (LE u64, FNV-1a of the run config)
+//! 20      4     shard count (LE u32)
+//! 24      8     stream-section count (LE u64)
+//! 32      8     FNV-1a 64 checksum of bytes [8 .. 32]
+//! 40      —     detector section: LE u64 length, payload, FNV-1a 64 of payload
+//! …       —     stream sections, same frame; payload = stream id,
+//!               cursor, StreamState, StreamHealth ([`Snap`]-encoded)
 //! ```
 //!
-//! The checksum covers the version, digest, length, and payload (not
-//! the magic), so any single-byte corruption after the magic is caught
-//! before a single payload byte is decoded; corrupting the magic is
-//! caught by the magic check itself. Writes go through a temporary
-//! file in the same directory followed by an atomic rename, so readers
-//! never observe a half-written snapshot — a crash mid-write leaves
-//! the previous snapshot intact.
+//! The header and the detector section are load-bearing for the whole
+//! fleet, so any corruption there refuses the file with a typed
+//! [`SnapshotError`], as does a different format version or a snapshot
+//! recorded under a different run-config digest. A corrupt *stream*
+//! section only loses that stream: [`decode_fleet`] skips it, counts it
+//! in [`FleetRestore::lost_sections`], and the caller starts the
+//! affected stream pristine while every other stream resumes.
 //!
-//! Loading refuses, with a typed [`SnapshotError`], anything that is
-//! corrupt, from a different format version, or recorded under a
-//! different run-config digest. Callers are expected to treat every
-//! refusal the same way: discard the snapshot and retrain.
+//! Writes go through a temporary file in the same directory, an fsync
+//! and an atomic rename, so readers never observe a half-written
+//! snapshot — a crash mid-write leaves the previous snapshot intact.
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use hbmd_core::snapshot::{self, MonitorSnapshot};
+//! use hbmd_core::snapshot;
 //!
-//! # fn demo(monitor: hbmd_core::OnlineDetector) -> Result<(), hbmd_core::CoreError> {
-//! let snap = MonitorSnapshot::new(monitor, 128, 0xDEAD_BEEF);
-//! snapshot::save(&snap, "monitor.snapshot".as_ref())?;
-//! match snapshot::load("monitor.snapshot".as_ref(), 0xDEAD_BEEF) {
-//!     Ok(snap) => println!("resuming at window {}", snap.cursor),
+//! # fn demo(detector: &hbmd_core::Detector) -> Result<(), hbmd_core::CoreError> {
+//! snapshot::save_fleet(detector, 4, 0xDEAD_BEEF, &[], "fleet.snap".as_ref())?;
+//! match snapshot::load_fleet("fleet.snap".as_ref(), 0xDEAD_BEEF) {
+//!     Ok(restore) => println!("resuming {} streams", restore.streams.len()),
 //!     Err(refusal) => println!("retraining: {refusal}"),
 //! }
 //! # Ok(())
@@ -56,16 +55,9 @@ use std::path::Path;
 use hbmd_ml::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use hbmd_obs::manifest::fnv1a_64;
 
-use crate::online::OnlineDetector;
-
-/// Current snapshot format version; bump on any wire-format change.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
-/// File magic identifying an hbmd monitor snapshot.
-pub const MAGIC: &[u8; 8] = b"HBMDSNAP";
-
-const HEADER_LEN: usize = 8 + 4 + 8 + 8;
-const CHECKSUM_LEN: usize = 8;
+use crate::detector::Detector;
+use crate::fleet::StreamHealth;
+use crate::online::StreamState;
 
 /// Why a snapshot was refused (or could not be written).
 ///
@@ -77,9 +69,9 @@ const CHECKSUM_LEN: usize = 8;
 pub enum SnapshotError {
     /// Reading or writing the file failed.
     Io(io::Error),
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with [`FLEET_MAGIC`].
     BadMagic,
-    /// The file's format version is not [`SNAPSHOT_VERSION`].
+    /// The file's format version is not [`FLEET_SNAPSHOT_VERSION`].
     UnsupportedVersion {
         /// Version found in the file.
         found: u32,
@@ -100,9 +92,10 @@ pub enum SnapshotError {
         /// Digest of the currently running configuration.
         current: u64,
     },
-    /// The checksummed payload failed structural decoding. (Reachable
-    /// only across code versions that share [`SNAPSHOT_VERSION`] but
-    /// disagree on the schema — the checksum catches corruption first.)
+    /// The checksummed detector payload failed structural decoding.
+    /// (Reachable only across code versions that share
+    /// [`FLEET_SNAPSHOT_VERSION`] but disagree on the schema — the
+    /// checksum catches corruption first.)
     Decode(SnapError),
     /// The payload decoded but left unconsumed bytes.
     TrailingBytes {
@@ -115,11 +108,11 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot i/o failed: {e}"),
-            SnapshotError::BadMagic => write!(f, "not a monitor snapshot (bad magic)"),
+            SnapshotError::BadMagic => write!(f, "not a fleet snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "snapshot format version {found} unsupported (expected {SNAPSHOT_VERSION})"
+                    "snapshot format version {found} unsupported (expected {FLEET_SNAPSHOT_VERSION})"
                 )
             }
             SnapshotError::Truncated => write!(f, "snapshot file truncated"),
@@ -159,129 +152,6 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// Everything needed to resume a monitor exactly where it stopped.
-#[derive(Debug, Clone)]
-pub struct MonitorSnapshot {
-    /// The live monitor: trained detector plus vote/hysteresis state.
-    pub monitor: OnlineDetector,
-    /// Timeline windows already observed (the resume point).
-    pub cursor: u64,
-    /// FNV-1a digest of the run configuration the monitor was trained
-    /// under; [`load`] refuses snapshots whose digest differs.
-    pub config_digest: u64,
-}
-
-impl MonitorSnapshot {
-    /// Bundle a monitor with its resume cursor and config digest.
-    pub fn new(monitor: OnlineDetector, cursor: u64, config_digest: u64) -> MonitorSnapshot {
-        MonitorSnapshot {
-            monitor,
-            cursor,
-            config_digest,
-        }
-    }
-}
-
-/// Encode a snapshot to the full framed file image (header, payload,
-/// checksum).
-pub fn encode(snapshot: &MonitorSnapshot) -> Vec<u8> {
-    let mut payload = SnapWriter::new();
-    snapshot.monitor.snap(&mut payload);
-    payload.put_u64(snapshot.cursor);
-    let payload = payload.into_bytes();
-
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&snapshot.config_digest.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    let checksum = fnv1a_64(&bytes[MAGIC.len()..]);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
-}
-
-/// Decode a framed snapshot image, verifying magic, version, length,
-/// checksum, and config digest — in that order — before touching the
-/// payload.
-///
-/// # Errors
-///
-/// Returns a [`SnapshotError`] describing the first check that failed;
-/// the payload is never partially applied.
-pub fn decode(bytes: &[u8], expected_digest: u64) -> Result<MonitorSnapshot, SnapshotError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(SnapshotError::Truncated);
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err(SnapshotError::Truncated);
-    }
-    let field = |offset: usize, len: usize| &bytes[offset..offset + len];
-    let version = u32::from_le_bytes(field(8, 4).try_into().expect("4 bytes"));
-    let config_digest = u64::from_le_bytes(field(12, 8).try_into().expect("8 bytes"));
-    let payload_len = u64::from_le_bytes(field(20, 8).try_into().expect("8 bytes"));
-    let Ok(payload_len) = usize::try_from(payload_len) else {
-        return Err(SnapshotError::Truncated);
-    };
-    let expected_total = HEADER_LEN
-        .checked_add(payload_len)
-        .and_then(|n| n.checked_add(CHECKSUM_LEN));
-    if expected_total != Some(bytes.len()) {
-        return Err(SnapshotError::Truncated);
-    }
-    let recorded = u64::from_le_bytes(
-        bytes[bytes.len() - CHECKSUM_LEN..]
-            .try_into()
-            .expect("8 bytes"),
-    );
-    let actual = fnv1a_64(&bytes[MAGIC.len()..bytes.len() - CHECKSUM_LEN]);
-    if recorded != actual {
-        return Err(SnapshotError::ChecksumMismatch {
-            expected: recorded,
-            actual,
-        });
-    }
-    // Only after the checksum proves integrity do version/digest
-    // mismatches mean what they say (rather than flipped bits).
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: version });
-    }
-    if config_digest != expected_digest {
-        return Err(SnapshotError::ConfigMismatch {
-            snapshot: config_digest,
-            current: expected_digest,
-        });
-    }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-    let mut reader = SnapReader::new(payload);
-    let monitor = OnlineDetector::unsnap(&mut reader).map_err(SnapshotError::Decode)?;
-    let cursor = reader.get_u64().map_err(SnapshotError::Decode)?;
-    if !reader.is_done() {
-        return Err(SnapshotError::TrailingBytes {
-            extra: reader.remaining(),
-        });
-    }
-    Ok(MonitorSnapshot {
-        monitor,
-        cursor,
-        config_digest,
-    })
-}
-
-/// Write a snapshot crash-safely: encode to `<path>.tmp` in the same
-/// directory, fsync, then atomically rename over `path`.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::Io`] when the filesystem refuses; the
-/// previous snapshot at `path` (if any) is left untouched on failure.
-pub fn save(snapshot: &MonitorSnapshot, path: &Path) -> Result<(), SnapshotError> {
-    write_atomic(&encode(snapshot), path)
-}
-
 /// Write `bytes` crash-safely: `<path>.tmp` in the same directory,
 /// fsync, then an atomic rename over `path`.
 fn write_atomic(bytes: &[u8], path: &Path) -> Result<(), SnapshotError> {
@@ -298,49 +168,11 @@ fn write_atomic(bytes: &[u8], path: &Path) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Read and [`decode`] the snapshot at `path`.
-///
-/// # Errors
-///
-/// Returns a [`SnapshotError`] when the file is unreadable, corrupt,
-/// version-mismatched, or recorded under a different config digest.
-pub fn load(path: &Path, expected_digest: u64) -> Result<MonitorSnapshot, SnapshotError> {
-    let bytes = std::fs::read(path)?;
-    decode(&bytes, expected_digest)
-}
-
 fn tmp_path(path: &Path) -> std::path::PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)
 }
-
-// ---------------------------------------------------------------------------
-// Multiplexed fleet snapshots
-// ---------------------------------------------------------------------------
-//
-// One versioned file holding the shared detector plus every stream's
-// cursor and per-stream state, each in its own checksummed section:
-//
-// ```text
-// offset  size  field
-// 0       8     magic  b"HBMDFLTS"
-// 8       4     format version (LE u32, currently 1)
-// 12      8     config digest (LE u64)
-// 20      4     shard count (LE u32)
-// 24      8     stream-section count (LE u64)
-// 32      8     FNV-1a 64 checksum of bytes [8 .. 32]
-// 40      —     detector section: LE u64 length, payload, FNV-1a 64 of payload
-// …       —     stream sections, same frame; payload = stream id,
-//               cursor, StreamState, StreamHealth ([`Snap`]-encoded)
-// ```
-//
-// The failure semantics differ deliberately from the single-monitor
-// codec: the header and the detector section are load-bearing for the
-// whole fleet, so corruption there refuses the file. A corrupt
-// *stream* section only loses that stream — [`decode_fleet`] skips it,
-// counts it in [`FleetRestore::lost_sections`], and the caller starts
-// the affected stream pristine while every other stream resumes.
 
 /// Current fleet snapshot format version; bump on wire-format change.
 pub const FLEET_SNAPSHOT_VERSION: u32 = 1;
@@ -349,10 +181,6 @@ pub const FLEET_SNAPSHOT_VERSION: u32 = 1;
 pub const FLEET_MAGIC: &[u8; 8] = b"HBMDFLTS";
 
 const FLEET_HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;
-
-use crate::detector::Detector;
-use crate::fleet::StreamHealth;
-use crate::online::StreamState;
 
 /// One stream's slice of a fleet snapshot: identity, resume cursor,
 /// vote/hysteresis state, and health standing.
@@ -609,6 +437,24 @@ pub fn load_fleet(path: &Path, expected_digest: u64) -> Result<FleetRestore, Sna
     decode_fleet(&bytes, expected_digest)
 }
 
+/// The payload byte span of the detector section in a fleet image —
+/// the chaos drill flips a byte here to force a whole-file refusal.
+///
+/// # Errors
+///
+/// Returns a [`SnapshotError`] when the image's framing cannot be
+/// walked (bad magic, truncated header or frame).
+pub fn fleet_detector_span(bytes: &[u8]) -> Result<std::ops::Range<usize>, SnapshotError> {
+    if bytes.len() < FLEET_HEADER_LEN || &bytes[..FLEET_MAGIC.len()] != FLEET_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let Some(frame) = read_frame(bytes, FLEET_HEADER_LEN) else {
+        return Err(SnapshotError::Truncated);
+    };
+    let start = FLEET_HEADER_LEN + 8;
+    Ok(start..start + frame.payload.len())
+}
+
 /// The payload byte span of every *stream* section in a fleet image,
 /// in file order — the corruption-targeting helper the chaos drill and
 /// the isolation proptests use to hit exactly one section.
@@ -620,15 +466,10 @@ pub fn load_fleet(path: &Path, expected_digest: u64) -> Result<FleetRestore, Sna
 pub fn fleet_stream_section_spans(
     bytes: &[u8],
 ) -> Result<Vec<std::ops::Range<usize>>, SnapshotError> {
-    if bytes.len() < FLEET_HEADER_LEN || &bytes[..FLEET_MAGIC.len()] != FLEET_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
+    let detector = fleet_detector_span(bytes)?;
     let section_count = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-    let Some(detector_frame) = read_frame(bytes, FLEET_HEADER_LEN) else {
-        return Err(SnapshotError::Truncated);
-    };
     let mut spans = Vec::new();
-    let mut offset = detector_frame.next_offset;
+    let mut offset = detector.end + 8;
     for _ in 0..section_count {
         let Some(frame) = read_frame(bytes, offset) else {
             return Err(SnapshotError::Truncated);
@@ -645,6 +486,7 @@ mod tests {
     use super::*;
     use crate::detector::DetectorBuilder;
     use crate::features::FeatureSet;
+    use crate::fleet::StreamHealthConfig;
     use crate::suite::ClassifierKind;
     use hbmd_events::{FeatureVector, HpcEvent};
     use hbmd_malware::{AppClass, SampleId};
@@ -654,156 +496,37 @@ mod tests {
         FeatureVector::from_slice(&[level; HpcEvent::COUNT]).expect("full-width vector")
     }
 
-    /// A tiny, perfectly separable dataset: benign rows sit at 1.0,
-    /// malware rows at 100.0 on every feature.
-    fn synthetic_dataset() -> HpcDataset {
-        let mut rows = Vec::new();
-        for i in 0..40 {
-            let class = AppClass::ALL[i % AppClass::COUNT];
-            let level = if class == AppClass::Benign {
-                1.0
-            } else {
-                100.0
-            };
-            rows.push(DataRow {
-                sample: SampleId(i as u32),
-                class,
-                features: features(level),
-            });
-        }
-        HpcDataset::from_rows(rows)
-    }
-
-    fn trained_monitor() -> OnlineDetector {
-        let dataset = synthetic_dataset();
-        let detector = DetectorBuilder::new()
+    /// A detector trained on a tiny, perfectly separable dataset:
+    /// benign rows sit at 1.0, malware rows at 100.0 on every feature.
+    fn trained_detector() -> Detector {
+        let rows = (0..40)
+            .map(|i| {
+                let class = AppClass::ALL[i % AppClass::COUNT];
+                let level = if class == AppClass::Benign {
+                    1.0
+                } else {
+                    100.0
+                };
+                DataRow {
+                    sample: SampleId(i as u32),
+                    class,
+                    features: features(level),
+                }
+            })
+            .collect();
+        DetectorBuilder::new()
             .classifier(ClassifierKind::J48)
             .feature_set(FeatureSet::Full16)
-            .train_binary(&dataset)
-            .expect("train on separable data");
-        OnlineDetector::builder(detector)
-            .window(5)
-            .threshold(3)
-            .hysteresis(2, 2)
-            .build()
-            .expect("valid monitor config")
+            .train_binary(&HpcDataset::from_rows(rows))
+            .expect("train on separable data")
     }
-
-    #[test]
-    fn roundtrip_is_byte_identical() {
-        let snap = MonitorSnapshot::new(trained_monitor(), 42, 0xFEED);
-        let bytes = encode(&snap);
-        let back = decode(&bytes, 0xFEED).expect("decode own encoding");
-        assert_eq!(back.cursor, 42);
-        assert_eq!(back.config_digest, 0xFEED);
-        assert_eq!(encode(&back), bytes, "re-encode must be byte-identical");
-    }
-
-    #[test]
-    fn every_single_byte_corruption_is_refused() {
-        let snap = MonitorSnapshot::new(trained_monitor(), 7, 0xFEED);
-        let bytes = encode(&snap);
-        for i in 0..bytes.len() {
-            let mut evil = bytes.clone();
-            evil[i] ^= 0x01;
-            assert!(
-                decode(&evil, 0xFEED).is_err(),
-                "flipping byte {i} must be refused"
-            );
-        }
-    }
-
-    #[test]
-    fn truncation_and_extension_are_refused() {
-        let snap = MonitorSnapshot::new(trained_monitor(), 7, 0xFEED);
-        let bytes = encode(&snap);
-        for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut], 0xFEED).is_err(), "cut at {cut}");
-        }
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert!(matches!(
-            decode(&longer, 0xFEED),
-            Err(SnapshotError::Truncated)
-        ));
-    }
-
-    #[test]
-    fn config_digest_mismatch_is_refused() {
-        let snap = MonitorSnapshot::new(trained_monitor(), 7, 0xFEED);
-        let bytes = encode(&snap);
-        assert!(matches!(
-            decode(&bytes, 0xBEEF),
-            Err(SnapshotError::ConfigMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn version_mismatch_is_refused() {
-        let snap = MonitorSnapshot::new(trained_monitor(), 7, 0xFEED);
-        let mut bytes = encode(&snap);
-        // Rewrite the version field and re-stamp the checksum so only
-        // the version check can fire.
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let checksum_at = bytes.len() - CHECKSUM_LEN;
-        let checksum = fnv1a_64(&bytes[MAGIC.len()..checksum_at]);
-        bytes[checksum_at..].copy_from_slice(&checksum.to_le_bytes());
-        assert!(matches!(
-            decode(&bytes, 0xFEED),
-            Err(SnapshotError::UnsupportedVersion { found: 99 })
-        ));
-    }
-
-    #[test]
-    fn save_is_atomic_and_load_resumes_verdicts() {
-        let dir = std::env::temp_dir().join(format!("hbmd-snapshot-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        let path = dir.join("monitor.snapshot");
-
-        let mut original = trained_monitor();
-        let benign = features(1.0);
-        let malign = features(100.0);
-        for _ in 0..3 {
-            original.observe(&malign);
-        }
-        let snap = MonitorSnapshot::new(original.clone(), 3, 0x1234);
-        save(&snap, &path).expect("save");
-        assert!(
-            !tmp_path(&path).exists(),
-            "tmp file must not survive a successful save"
-        );
-
-        let mut restored = load(&path, 0x1234).expect("load").monitor;
-        // The restored monitor must continue the verdict stream exactly
-        // as the original would have.
-        for _ in 0..4 {
-            assert_eq!(restored.observe(&malign), original.observe(&malign));
-        }
-        for _ in 0..6 {
-            assert_eq!(restored.observe(&benign), original.observe(&benign));
-        }
-
-        // A corrupted file on disk is refused by load.
-        let mut on_disk = std::fs::read(&path).expect("read back");
-        let mid = on_disk.len() / 2;
-        on_disk[mid] ^= 0xFF;
-        std::fs::write(&path, &on_disk).expect("corrupt");
-        assert!(load(&path, 0x1234).is_err());
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // -- multiplexed fleet snapshots --
-
-    use crate::fleet::{StreamHealth, StreamHealthConfig};
-    use crate::online::StreamState;
 
     fn fleet_sections(n: u64) -> Vec<StreamSection> {
+        let detector = trained_detector();
         (0..n)
             .map(|stream| {
                 let mut state = StreamState::new(4, 3, 2, 2).expect("valid shape");
                 let mut health = StreamHealth::new(StreamHealthConfig::default());
-                let detector = trained_monitor().shared_detector();
                 // Warm each stream differently so sections differ.
                 for i in 0..(stream % 7) {
                     let level = if i % 2 == 0 { 1.0 } else { 100.0 };
@@ -822,7 +545,7 @@ mod tests {
 
     #[test]
     fn fleet_roundtrip_restores_every_stream() {
-        let detector = trained_monitor().shared_detector();
+        let detector = trained_detector();
         let sections = fleet_sections(9);
         let bytes = encode_fleet(&detector, 4, 0xFEED, &sections);
         let back = decode_fleet(&bytes, 0xFEED).expect("decode own encoding");
@@ -848,7 +571,7 @@ mod tests {
 
     #[test]
     fn corrupt_stream_section_falls_back_alone() {
-        let detector = trained_monitor().shared_detector();
+        let detector = trained_detector();
         let sections = fleet_sections(5);
         let mut bytes = encode_fleet(&detector, 2, 0xFEED, &sections);
         let spans = fleet_stream_section_spans(&bytes).expect("walk framing");
@@ -864,7 +587,7 @@ mod tests {
 
     #[test]
     fn corrupt_header_or_detector_refuses_the_fleet() {
-        let detector = trained_monitor().shared_detector();
+        let detector = trained_detector();
         let sections = fleet_sections(3);
         let bytes = encode_fleet(&detector, 2, 0xFEED, &sections);
 
@@ -874,8 +597,10 @@ mod tests {
         assert!(decode_fleet(&evil, 0xFEED).is_err());
 
         // Detector payload corruption is caught wholesale.
+        let detector_span = fleet_detector_span(&bytes).expect("walk framing");
+        assert_eq!(detector_span.start, FLEET_HEADER_LEN + 8);
         let mut evil = bytes.clone();
-        evil[FLEET_HEADER_LEN + 8] ^= 0x01;
+        evil[detector_span.start] ^= 0x01;
         assert!(matches!(
             decode_fleet(&evil, 0xFEED),
             Err(SnapshotError::ChecksumMismatch { .. })
@@ -891,7 +616,7 @@ mod tests {
 
     #[test]
     fn corrupt_length_field_loses_the_tail_not_the_head() {
-        let detector = trained_monitor().shared_detector();
+        let detector = trained_detector();
         let sections = fleet_sections(4);
         let mut bytes = encode_fleet(&detector, 2, 0xFEED, &sections);
         let spans = fleet_stream_section_spans(&bytes).expect("walk framing");
@@ -907,11 +632,37 @@ mod tests {
     }
 
     #[test]
+    fn fleet_config_digest_mismatch_is_refused() {
+        let bytes = encode_fleet(&trained_detector(), 2, 0xFEED, &fleet_sections(3));
+        assert!(matches!(
+            decode_fleet(&bytes, 0xBEEF),
+            Err(SnapshotError::ConfigMismatch {
+                snapshot: 0xFEED,
+                current: 0xBEEF
+            })
+        ));
+    }
+
+    #[test]
+    fn fleet_version_mismatch_is_refused() {
+        let mut bytes = encode_fleet(&trained_detector(), 2, 0xFEED, &fleet_sections(3));
+        // Rewrite the version field and re-stamp the header checksum so
+        // only the version check can fire.
+        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
+        let checksum = fnv1a_64(&bytes[FLEET_MAGIC.len()..32]);
+        bytes[32..40].copy_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(
+            decode_fleet(&bytes, 0xFEED),
+            Err(SnapshotError::UnsupportedVersion { found: 99 })
+        ));
+    }
+
+    #[test]
     fn fleet_save_load_is_atomic() {
         let dir = std::env::temp_dir().join(format!("hbmd-fleet-snap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create temp dir");
         let path = dir.join("fleet.snap");
-        let detector = trained_monitor().shared_detector();
+        let detector = trained_detector();
         let sections = fleet_sections(6);
         save_fleet(&detector, 3, 0x77, &sections, &path).expect("save");
         assert!(!tmp_path(&path).exists());

@@ -1,14 +1,14 @@
 //! Deterministic supervision primitives for the online monitor.
 //!
-//! The serve pipeline wraps its detector worker in a supervisor loop;
-//! this module provides the two policies that loop needs, both free of
-//! wall-clock reads so they unit-test exactly and replay byte-for-byte
-//! under the chaos harness:
+//! Each shard of the serve fleet wraps its detector worker in a
+//! supervisor loop; this module provides the two policies that loop
+//! needs, both free of wall-clock reads so they unit-test exactly and
+//! replay byte-for-byte under the chaos harness:
 //!
 //! * [`Backoff`] — capped exponential restart delays
 //!   (`base · 2^attempt`, saturating at `max`),
 //! * [`CircuitBreaker`] — a tick-based fault-rate breaker that trips
-//!   the pipeline into a degraded state when too many recent windows
+//!   the shard into a degraded state when too many recent windows
 //!   faulted, half-opens after a cooldown, and fully closes only after
 //!   a clean probation streak.
 //!

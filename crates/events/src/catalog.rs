@@ -12,12 +12,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{EventKind, HpcEvent};
 
 /// One entry of the platform event catalog.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EventDescriptor {
     /// Canonical `perf` name.
     pub name: String,
@@ -48,7 +46,7 @@ impl fmt::Display for EventDescriptor {
 /// assert_eq!(catalog.programmable_counters(), 8);
 /// assert_eq!(catalog.collected_events().count(), 16);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HaswellCatalog {
     entries: Vec<EventDescriptor>,
 }

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::HpcEvent;
 
 /// A full set of raw 64-bit counts, one per collected [`HpcEvent`].
@@ -21,7 +19,7 @@ use crate::event::HpcEvent;
 /// assert_eq!(c[HpcEvent::CacheMisses], 3);
 /// assert_eq!(c.total(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CounterSet {
     counts: [u64; HpcEvent::COUNT],
 }

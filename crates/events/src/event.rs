@@ -1,8 +1,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// The 16 hardware performance counter events collected per sample.
 ///
 /// These are the events the reference evaluation reads with `perf stat`
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(HpcEvent::COUNT, 16);
 /// # Ok::<(), hbmd_events::ParseEventError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum HpcEvent {
     /// Retired branch instructions.
@@ -161,7 +159,7 @@ impl FromStr for HpcEvent {
 ///
 /// Categories drive behavioural modelling in the simulator (which
 /// microarchitectural unit emits the event) and grouping in reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     /// Branch-unit events (predictor and BTB).
     Branch,

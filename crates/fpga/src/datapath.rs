@@ -1,7 +1,6 @@
 use std::fmt;
 
 use hbmd_ml::{Ibk, JRip, LinearSvm, Mlp, Mlr, NaiveBayes, OneR, RepTree, J48};
-use serde::{Deserialize, Serialize};
 
 /// Error produced when a datapath cannot be derived.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +25,7 @@ impl fmt::Display for DatapathError {
 impl std::error::Error for DatapathError {}
 
 /// One pipeline stage of an inference datapath.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Stage {
     /// Stage role ("dot-product", "activation", "compare", …).
     pub name: String,
@@ -60,7 +59,7 @@ impl Stage {
 
 /// An abstract inference datapath: the pipeline a trained model
 /// synthesises to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatapathSpec {
     /// Scheme name of the source model.
     pub scheme: String,

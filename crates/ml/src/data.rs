@@ -4,7 +4,6 @@ use std::ops::Index;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Errors produced by dataset construction and classifier training.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +65,7 @@ impl std::error::Error for MlError {}
 /// assert_eq!(&data.rows()[1], &[500.0, 90.0][..]);
 /// # Ok::<(), hbmd_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     feature_names: Vec<String>,
     class_names: Vec<String>,

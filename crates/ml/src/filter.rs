@@ -2,8 +2,6 @@
 //! median imputation, fitted on training data and applied to anything
 //! (the WEKA `Standardize`/`Normalize`/`ReplaceMissingValues` filters).
 
-use serde::{Deserialize, Serialize};
-
 use crate::data::Dataset;
 
 /// Z-score standardisation: `(x - mean) / std` per feature, with
@@ -22,7 +20,7 @@ use crate::data::Dataset;
 /// assert!(z[0].abs() < 1e-9, "the mean maps to zero");
 /// # Ok::<(), hbmd_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Standardize {
     stats: Vec<(f64, f64)>,
 }
@@ -69,7 +67,7 @@ impl Standardize {
 
 /// Min–max normalisation to `[0, 1]` per feature; constant features map
 /// to 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxNormalize {
     ranges: Vec<(f64, f64)>,
 }
@@ -148,7 +146,7 @@ impl MinMaxNormalize {
 /// assert_eq!(filter.transform_row(&[f64::NAN]), vec![3.0]);
 /// # Ok::<(), hbmd_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Impute {
     medians: Vec<f64>,
 }

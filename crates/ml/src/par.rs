@@ -61,13 +61,16 @@ where
     }
     let chunk_len = items.len().div_ceil(threads);
     let task = &task;
+    let obs = hbmd_obs::inherit();
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
             .enumerate()
             .map(|(chunk_index, chunk)| {
                 let base = chunk_index * chunk_len;
+                let obs = obs.clone();
                 scope.spawn(move || {
+                    obs.enter();
                     chunk
                         .iter()
                         .enumerate()

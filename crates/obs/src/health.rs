@@ -1,14 +1,16 @@
-//! Supervisor-visible service health, shared between the pipeline and
-//! the exposition server.
+//! Supervisor-visible service health, shared between the fleet's shard
+//! supervisors and the exposition server.
 //!
 //! A [`Health`] is a lock-free bundle of the one state machine and two
-//! counters a supervised monitor needs to expose: where the supervisor
-//! currently is ([`ServiceState`]), how many times the worker has been
-//! restarted, and how many times the circuit breaker has tripped. The
-//! serve layer maps it onto `/readyz` (200 only while
-//! [`ServiceState::Ready`]); the pipeline mirrors the counters into
-//! the metrics [`Registry`](crate::metrics::Registry) so they reach
-//! the Prometheus exposition as `hbmd_supervisor_restarts_total` and
+//! counters one shard supervisor needs to expose: where it currently is
+//! ([`ServiceState`]), how many times its worker has been restarted,
+//! and how many times its circuit breaker has tripped. A
+//! [`FleetHealth`] holds one per shard plus fleet-wide counters; the
+//! serve layer maps it onto `/readyz` (200 under a strict-majority
+//! quorum of [`ServiceState::Ready`] shards, one line per shard), and
+//! `repro serve` mirrors the totals into the metrics
+//! [`Registry`](crate::metrics::Registry) so they reach the Prometheus
+//! exposition as `hbmd_supervisor_restarts_total` and
 //! `hbmd_breaker_trips_total`.
 //!
 //! # Examples

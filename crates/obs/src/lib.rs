@@ -31,8 +31,8 @@
 //!   ([`recorder::FlightRecorder`]): a lock-free fixed-capacity ring
 //!   of compact window/health/fault events, drained into atomic
 //!   FNV-checksummed diagnostic bundles by a [`recorder::RecorderHub`]
-//!   when an anomaly (breaker trip, alarm latch, restart-budget
-//!   exhaustion, snapshot refusal, `/debug/bundle`) triggers.
+//!   when an anomaly (breaker trip, restart-budget exhaustion,
+//!   snapshot refusal, `/debug/bundle`) triggers.
 //!
 //! # Determinism contract
 //!
@@ -47,12 +47,15 @@
 //!
 //! # Installing a context
 //!
-//! Instrumented code talks to a process-wide [`Obs`] context. The
-//! default context has a live [`Registry`] and no
-//! sinks; harnesses swap in their own with [`install`], which returns a
-//! guard restoring the previous context on drop. Installs are
-//! serialized process-wide, so concurrent tests that each install a
-//! fresh context queue up instead of clobbering each other.
+//! Instrumented code reports into the calling thread's [`Obs`]
+//! context. A thread with nothing installed falls back to the process
+//! default, which has a live [`Registry`] and no sinks. Harnesses swap
+//! in their own with [`install`], which scopes the context to the
+//! installing thread and returns a guard restoring the previous one on
+//! drop. Code that fans work out to threads hands its context on with
+//! [`inherit`], so a pipeline's counters land in the registry its
+//! caller installed, and concurrent pipelines (parallel tests) cannot
+//! contaminate each other.
 //!
 //! # Examples
 //!
@@ -90,7 +93,9 @@ pub mod sink;
 pub mod span;
 pub mod trace;
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::{Arc, OnceLock};
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use sink::{JsonlSink, MemorySink, SpanSink};
@@ -164,29 +169,31 @@ impl std::fmt::Debug for Obs {
     }
 }
 
-fn current_cell() -> &'static RwLock<Arc<Obs>> {
-    static CURRENT: OnceLock<RwLock<Arc<Obs>>> = OnceLock::new();
-    CURRENT.get_or_init(|| RwLock::new(Arc::new(Obs::new())))
+thread_local! {
+    static SCOPED: RefCell<Option<Arc<Obs>>> = const { RefCell::new(None) };
 }
 
-/// The process-wide context instrumented code reports into.
+fn process_default() -> &'static Arc<Obs> {
+    static DEFAULT: OnceLock<Arc<Obs>> = OnceLock::new();
+    DEFAULT.get_or_init(|| Arc::new(Obs::new()))
+}
+
+/// The context instrumented code on this thread reports into: the one
+/// [`install`]ed (or [inherited](Inherited::enter)) here, else the
+/// process default.
 pub fn current() -> Arc<Obs> {
-    Arc::clone(
-        &current_cell()
-            .read()
-            .unwrap_or_else(PoisonError::into_inner),
-    )
+    SCOPED
+        .with(|scoped| scoped.borrow().clone())
+        .unwrap_or_else(|| Arc::clone(process_default()))
 }
 
-/// Guard returned by [`install`]; dropping it restores the previously
-/// installed context. While it lives, no other thread can complete an
-/// [`install`] — tests that each install a fresh context serialize on
-/// this, keeping their counters isolated.
+/// Guard returned by [`install`]; dropping it restores the context
+/// the installing thread had before. It is bound to that thread.
 #[must_use = "dropping the guard immediately would uninstall the context"]
 pub struct ObsGuard {
     installed: Arc<Obs>,
-    previous: Arc<Obs>,
-    _serial: MutexGuard<'static, ()>,
+    previous: Option<Arc<Obs>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl ObsGuard {
@@ -204,10 +211,10 @@ impl ObsGuard {
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
-        let mut cell = current_cell()
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        *cell = Arc::clone(&self.previous);
+        let previous = self.previous.take();
+        // `try_with`: a guard dropped while its thread exits finds the
+        // slot already torn down, and a drop must not panic.
+        let _ = SCOPED.try_with(|scoped| *scoped.borrow_mut() = previous);
     }
 }
 
@@ -217,31 +224,35 @@ impl std::fmt::Debug for ObsGuard {
     }
 }
 
-fn install_lock() -> &'static Mutex<()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    &LOCK
-}
-
-/// Install `obs` as the process-wide context, returning a guard that
-/// restores the previous context on drop.
-///
-/// Installs serialize on a process-wide lock: if another guard is
-/// alive, this call blocks until it drops. Do not nest installs on one
-/// thread — the second would deadlock on the first.
+/// Install `obs` as the calling thread's context, returning a guard
+/// that restores the previous context on drop. Other threads are
+/// unaffected unless they [`inherit`] it; installs nest.
 pub fn install(obs: Obs) -> ObsGuard {
-    let serial = install_lock()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
     let installed = Arc::new(obs);
-    let mut cell = current_cell()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner);
-    let previous = std::mem::replace(&mut *cell, Arc::clone(&installed));
-    drop(cell);
+    let previous = SCOPED.with(|scoped| scoped.replace(Some(Arc::clone(&installed))));
     ObsGuard {
         installed,
         previous,
-        _serial: serial,
+        _thread_bound: PhantomData,
+    }
+}
+
+/// The calling thread's context, captured for a thread it spawns.
+#[derive(Clone, Debug)]
+pub struct Inherited(Option<Arc<Obs>>);
+
+/// Capture the calling thread's context; call
+/// [`enter`](Inherited::enter) first thing in a spawned thread so the
+/// work it does reports where its spawner's would.
+pub fn inherit() -> Inherited {
+    Inherited(SCOPED.with(|scoped| scoped.borrow().clone()))
+}
+
+impl Inherited {
+    /// Make the captured context this thread's for the rest of its
+    /// life (meant for freshly spawned threads).
+    pub fn enter(self) {
+        SCOPED.with(|scoped| *scoped.borrow_mut() = self.0);
     }
 }
 
@@ -388,16 +399,32 @@ mod tests {
     fn install_restores_previous_context() {
         let outer = install(Obs::new());
         incr("lib.outer");
-        {
-            // Dropping `outer` first would be a bug; nesting via an
-            // inner scope is the supported shape on one thread only
-            // when the outer guard is released first — so emulate two
-            // sequential installs instead.
-        }
+        let inner = install(Obs::new());
+        incr("lib.inner");
+        assert_eq!(inner.registry().snapshot().counter("lib.outer"), 0);
+        drop(inner);
+        incr("lib.outer");
+        let snapshot = outer.registry().snapshot();
+        assert_eq!(snapshot.counter("lib.outer"), 2);
+        assert_eq!(snapshot.counter("lib.inner"), 0);
         drop(outer);
-        let second = install(Obs::new());
-        assert_eq!(second.registry().snapshot().counter("lib.outer"), 0);
-        drop(second);
+    }
+
+    #[test]
+    fn installs_are_scoped_to_their_thread_unless_inherited() {
+        let guard = install(Obs::new());
+        let inherited = inherit();
+        std::thread::scope(|scope| {
+            scope.spawn(|| incr("lib.scoped.stranger"));
+            scope.spawn(move || {
+                inherited.enter();
+                incr("lib.scoped.heir");
+            });
+        });
+        let snapshot = guard.registry().snapshot();
+        assert_eq!(snapshot.counter("lib.scoped.heir"), 1);
+        assert_eq!(snapshot.counter("lib.scoped.stranger"), 0);
+        drop(guard);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A tiny, dependency-free HTTP exposition server for long-running
 //! monitors: `/metrics` (Prometheus text format 0.0.4), `/healthz`
-//! (liveness), `/readyz` (readiness, from the supervisor's
-//! [`Health`]), `/manifest` (the run's
+//! (liveness), `/readyz` (readiness, from the shard supervisors'
+//! [`FleetHealth`]), `/manifest` (the run's
 //! [`RunManifest`](crate::manifest) JSON), and — when the host wires a
 //! [`DebugHandler`] — `/debug/...` diagnostic endpoints (the fleet
 //! monitor serves `/debug/recorder` ring statistics and
@@ -26,7 +26,6 @@
 //! let server = serve::serve("127.0.0.1:0", serve::ServeContext {
 //!     registry: registry.clone(),
 //!     manifest_json: "{}".to_owned(),
-//!     health: None,
 //!     fleet: None,
 //!     debug: None,
 //! })?;
@@ -48,7 +47,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::health::{FleetHealth, Health};
+use crate::health::FleetHealth;
 use crate::metrics::Registry;
 use crate::prom;
 
@@ -76,13 +75,10 @@ pub struct ServeContext {
     pub registry: Arc<Registry>,
     /// Served verbatim at `/manifest` (must be a JSON document).
     pub manifest_json: String,
-    /// Supervisor health backing `/readyz`. With `None`, `/readyz`
-    /// mirrors `/healthz` (an unsupervised exposition is ready as soon
-    /// as it binds).
-    pub health: Option<Arc<Health>>,
-    /// Sharded fleet health; when set it takes precedence over
-    /// `health` and `/readyz` reports quorum readiness plus one line
-    /// per shard.
+    /// Shard-supervisor health backing `/readyz`: quorum readiness
+    /// plus one line per shard. With `None`, `/readyz` mirrors
+    /// `/healthz` (an unsupervised exposition is ready as soon as it
+    /// binds).
     pub fleet: Option<Arc<FleetHealth>>,
     /// Handler for `/debug/...` paths (`/debug/recorder`,
     /// `/debug/bundle`); with `None` they 404 like any other path.
@@ -116,20 +112,24 @@ pub fn serve(addr: impl ToSocketAddrs, context: ServeContext) -> io::Result<Serv
     let local_addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let loop_stop = Arc::clone(&stop);
+    let obs = crate::inherit();
     let accept_loop = std::thread::Builder::new()
         .name("hbmd-obs-serve".to_owned())
         .spawn(move || {
+            obs.clone().enter();
             for stream in listener.incoming() {
                 if loop_stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
                 let context = context.clone();
+                let obs = obs.clone();
                 // Short-lived worker per connection so one stuck
                 // client cannot block the next scrape.
                 let _ = std::thread::Builder::new()
                     .name("hbmd-obs-conn".to_owned())
                     .spawn(move || {
+                        obs.enter();
                         let _ = handle_connection(stream, &context);
                     });
             }
@@ -254,54 +254,41 @@ fn route(request: &Request, context: &ServeContext) -> (&'static str, &'static s
         ),
         "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_owned()),
         "/readyz" => {
-            match (&context.fleet, &context.health) {
-                (Some(fleet), _) => {
-                    // Quorum readiness plus one line per shard — the
-                    // bulkhead view: a restarting shard is visible without
-                    // flipping the fleet out of the load balancer.
-                    let mut body =
-                        format!(
-                    "{}\nrestarts {}\ntrips {}\nshards {} ready {}\nquarantined {}\nshed {}\n",
-                    if fleet.is_ready() { "ready" } else { "degraded" },
-                    fleet.restarts(),
-                    fleet.trips(),
-                    fleet.shards(),
-                    fleet.ready_shards(),
-                    fleet.quarantined(),
-                    fleet.shed(),
-                );
-                    for shard in 0..fleet.shards() {
-                        let health = fleet.shard(shard);
-                        body.push_str(&format!(
-                            "shard {} {} restarts {} trips {}\n",
-                            shard,
-                            health.state(),
-                            health.restarts(),
-                            health.trips()
-                        ));
-                    }
-                    if fleet.is_ready() {
-                        ("200 OK", "text/plain; charset=utf-8", body)
-                    } else {
-                        ("503 Service Unavailable", "text/plain; charset=utf-8", body)
-                    }
-                }
-                // Unsupervised expositions are ready by construction.
-                (None, None) => ("200 OK", "text/plain; charset=utf-8", "ready\n".to_owned()),
-                (None, Some(health)) => {
-                    let state = health.state();
-                    let body = format!(
-                        "{}\nrestarts {}\ntrips {}\n",
-                        state,
-                        health.restarts(),
-                        health.trips()
-                    );
-                    if health.is_ready() {
-                        ("200 OK", "text/plain; charset=utf-8", body)
-                    } else {
-                        ("503 Service Unavailable", "text/plain; charset=utf-8", body)
-                    }
-                }
+            // Unsupervised expositions are ready by construction.
+            let Some(fleet) = &context.fleet else {
+                return ("200 OK", "text/plain; charset=utf-8", "ready\n".to_owned());
+            };
+            // Quorum readiness plus one line per shard — the bulkhead
+            // view: a restarting shard is visible without flipping the
+            // fleet out of the load balancer.
+            let mut body = format!(
+                "{}\nrestarts {}\ntrips {}\nshards {} ready {}\nquarantined {}\nshed {}\n",
+                if fleet.is_ready() {
+                    "ready"
+                } else {
+                    "degraded"
+                },
+                fleet.restarts(),
+                fleet.trips(),
+                fleet.shards(),
+                fleet.ready_shards(),
+                fleet.quarantined(),
+                fleet.shed(),
+            );
+            for shard in 0..fleet.shards() {
+                let health = fleet.shard(shard);
+                body.push_str(&format!(
+                    "shard {} {} restarts {} trips {}\n",
+                    shard,
+                    health.state(),
+                    health.restarts(),
+                    health.trips()
+                ));
+            }
+            if fleet.is_ready() {
+                ("200 OK", "text/plain; charset=utf-8", body)
+            } else {
+                ("503 Service Unavailable", "text/plain; charset=utf-8", body)
             }
         }
         "/manifest" => (
@@ -372,7 +359,6 @@ mod tests {
             ServeContext {
                 registry,
                 manifest_json: "{\"tool\": \"test\"}".to_owned(),
-                health: None,
                 fleet: None,
                 debug: None,
             },
@@ -408,7 +394,6 @@ mod tests {
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: None,
                 fleet: None,
                 debug: None,
             },
@@ -422,36 +407,35 @@ mod tests {
 
     #[test]
     fn readyz_reflects_supervisor_state() {
-        let health = Arc::new(crate::health::Health::new());
+        let fleet = Arc::new(crate::health::FleetHealth::new(1));
         let server = serve(
             "127.0.0.1:0",
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: Some(Arc::clone(&health)),
-                fleet: None,
+                fleet: Some(Arc::clone(&fleet)),
                 debug: None,
             },
         )
         .expect("bind");
         let addr = server.local_addr();
+        let health = fleet.shard(0);
 
         // Starting → not ready.
         let starting = get(addr, "GET /readyz HTTP/1.0\r\n\r\n");
         assert!(starting.starts_with("HTTP/1.0 503"));
-        assert!(starting.contains("starting"));
+        assert!(starting.contains("shard 0 starting"));
 
         health.set_state(crate::health::ServiceState::Ready);
         health.record_restart();
         let ready = get(addr, "GET /readyz HTTP/1.0\r\n\r\n");
         assert!(ready.starts_with("HTTP/1.0 200"));
-        assert!(ready.contains("ready"));
-        assert!(ready.contains("restarts 1"));
+        assert!(ready.contains("shard 0 ready restarts 1"));
 
         health.set_state(crate::health::ServiceState::Degraded);
         let degraded = get(addr, "GET /readyz HTTP/1.0\r\n\r\n");
         assert!(degraded.starts_with("HTTP/1.0 503"));
-        assert!(degraded.contains("degraded"));
+        assert!(degraded.contains("shard 0 degraded"));
 
         // Liveness stays 200 regardless of readiness.
         let live = get(addr, "GET /healthz HTTP/1.0\r\n\r\n");
@@ -466,7 +450,6 @@ mod tests {
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: None,
                 fleet: Some(Arc::clone(&fleet)),
                 debug: None,
             },
@@ -502,7 +485,6 @@ mod tests {
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: None,
                 fleet: None,
                 debug: None,
             },
@@ -519,7 +501,6 @@ mod tests {
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: None,
                 fleet: None,
                 debug: None,
             },
@@ -549,7 +530,6 @@ mod tests {
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: None,
                 fleet: None,
                 debug: None,
             },

@@ -34,7 +34,6 @@ use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_malware::SampleId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::PerfError;
 
@@ -45,9 +44,9 @@ pub const SATURATION_CEILING: f64 = (1u64 << 48) as f64;
 /// Per-mode activation rates for collection-path fault injection.
 ///
 /// Every rate is a probability in `[0, 1]`; [`FaultPlan::none`] is the
-/// pristine pipeline. The plan is plain serde-derived data so sweeps
-/// and harnesses can ship it around as configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// pristine pipeline. The plan is plain data so sweeps and harnesses
+/// can ship it around as configuration.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Base seed mixed with the sample id (and retry attempt) to give
     /// every sample an independent, scheduling-independent stream.
@@ -190,7 +189,7 @@ impl Default for FaultPlan {
 
 /// Tally of injected (or observed) faults, reported per collection in
 /// the [`CollectionReport`](crate::CollectionReport).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultCounts {
     /// Windows dropped.
     pub dropped_windows: usize,

@@ -1,14 +1,13 @@
 use hbmd_events::FeatureVector;
 use hbmd_malware::Sample;
 use hbmd_uarch::CpuConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::error::PerfError;
 use crate::pmu::PmuConfig;
 use crate::source::{open_source, CounterWindow, EventSel, SourceSelect};
 
 /// How each sample is observed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
     /// Sampling windows recorded per sample. The reference dataset has
     /// ~50,000 rows over 3,070 samples ⇒ ~16 windows each.

@@ -1,5 +1,4 @@
 use hbmd_events::{CounterSet, HpcEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::branch::BranchPredictor;
 use crate::cache::{Access, Cache};
@@ -8,7 +7,7 @@ use crate::inst::{InstructionSource, Op};
 use crate::tlb::Tlb;
 
 /// Aggregate timing results of an execution window.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ExecutionStats {
     /// Dynamic instructions executed.
     pub instructions: u64,

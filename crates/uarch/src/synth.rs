@@ -1,6 +1,5 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::inst::{Instruction, InstructionSource, Op};
 
@@ -14,7 +13,7 @@ use crate::inst::{Instruction, InstructionSource, Op};
 ///
 /// All `*_frac` fields are probabilities; `load_frac + store_frac +
 /// branch_frac` must not exceed 1 (the remainder is ALU work).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamParams {
     /// Fraction of instructions that load from memory.
     pub load_frac: f64,

@@ -1,9 +1,10 @@
 //! Observability integration: span capture, exact counters, and the
 //! determinism contract, driven through the public facade.
 //!
-//! Each test installs its own [`Obs`] context; installs serialize on a
-//! process-wide lock, so the tests' counters never bleed into each
-//! other even when the harness runs them on parallel threads.
+//! Each test installs its own [`Obs`] context. An install is scoped to
+//! the installing thread and inherited by the workers it spawns, so the
+//! tests' counters never bleed into each other even when the harness
+//! runs them on parallel threads.
 
 use std::sync::Arc;
 

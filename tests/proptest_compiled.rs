@@ -2,13 +2,13 @@
 //! every compilable scheme fitted on an arbitrary dataset must agree
 //! with its pointer-walking interpreter on arbitrary probe windows —
 //! including NaN- and infinity-bearing ones — both per-window and
-//! batched, and a detector restored from an `HBMDSNAP` or `HBMDFLTS`
-//! image must recompile to an evaluator identical to the original's.
+//! batched, and a detector restored from an `HBMDFLTS` image must
+//! recompile to an evaluator identical to the original's.
 
 use std::sync::OnceLock;
 
-use hbmd::core::snapshot::{decode, decode_fleet, encode, encode_fleet, MonitorSnapshot};
-use hbmd::core::{ClassifierKind, DetectorBuilder, FeatureSet, OnlineDetector};
+use hbmd::core::snapshot::{decode_fleet, encode_fleet};
+use hbmd::core::{ClassifierKind, Detector, DetectorBuilder, FeatureSet};
 use hbmd::events::{FeatureVector, HpcEvent};
 use hbmd::malware::{AppClass, SampleId};
 use hbmd::ml::{Classifier, Dataset, RowsView};
@@ -90,11 +90,11 @@ fn synthetic_dataset() -> HpcDataset {
     HpcDataset::from_rows(rows)
 }
 
-/// Trained monitors over compilable schemes, built once (training is
+/// Trained detectors over compilable schemes, built once (training is
 /// the expensive part) and shared across proptest cases.
-fn monitors() -> &'static Vec<OnlineDetector> {
-    static MONITORS: OnceLock<Vec<OnlineDetector>> = OnceLock::new();
-    MONITORS.get_or_init(|| {
+fn detectors() -> &'static Vec<Detector> {
+    static DETECTORS: OnceLock<Vec<Detector>> = OnceLock::new();
+    DETECTORS.get_or_init(|| {
         let dataset = synthetic_dataset();
         let configs: &[(ClassifierKind, FeatureSet)] = &[
             (ClassifierKind::OneR, FeatureSet::Top(8)),
@@ -107,17 +107,11 @@ fn monitors() -> &'static Vec<OnlineDetector> {
         configs
             .iter()
             .map(|&(kind, features)| {
-                let detector = DetectorBuilder::new()
+                DetectorBuilder::new()
                     .classifier(kind)
                     .feature_set(features)
                     .train_binary(&dataset)
-                    .expect("train on separable data");
-                OnlineDetector::builder(detector)
-                    .window(4)
-                    .threshold(3)
-                    .hysteresis(2, 2)
-                    .build()
-                    .expect("valid monitor config")
+                    .expect("train on separable data")
             })
             .collect()
     })
@@ -175,43 +169,6 @@ proptest! {
         }
     }
 
-    /// `HBMDSNAP` roundtrip: a restored monitor's detector recompiles
-    /// to an evaluator with identical footprint and identical verdicts,
-    /// and re-encoding the restored monitor is byte-identical — the
-    /// compiled cache never leaks into the image.
-    #[test]
-    fn snap_restore_recompiles_identically(
-        index in 0usize..6,
-        cursor in 0u64..100_000,
-        digest in 0u64..u64::MAX,
-        levels in prop::collection::vec(
-            (0u8..5, 0.0..150.0f64)
-                .prop_map(|(tag, v)| if tag == 0 { f64::NAN } else { v }),
-            1..12,
-        ),
-    ) {
-        let monitor = monitors()[index % monitors().len()].clone();
-        let snapshot = MonitorSnapshot::new(monitor, cursor, digest);
-        let bytes = encode(&snapshot);
-        let restored = decode(&bytes, digest).expect("clean image decodes");
-        prop_assert_eq!(encode(&restored), bytes);
-
-        let before = snapshot.monitor.detector();
-        let after = restored.monitor.detector();
-        let compiled_before = before.compiled().expect("compilable scheme");
-        let compiled_after = after.compiled().expect("recompiled on restore");
-        prop_assert_eq!(compiled_before.node_count(), compiled_after.node_count());
-        prop_assert_eq!(compiled_before.byte_size(), compiled_after.byte_size());
-        for &level in &levels {
-            let window = features(level);
-            prop_assert_eq!(before.classify(&window), after.classify(&window));
-            prop_assert_eq!(
-                before.classify_sanitized(&window),
-                after.classify_sanitized(&window)
-            );
-        }
-    }
-
     /// `HBMDFLTS` roundtrip: the shared fleet detector recompiles
     /// identically after restore, and re-encoding is byte-identical.
     #[test]
@@ -221,7 +178,7 @@ proptest! {
         digest in 0u64..u64::MAX,
         level in 0.0..150.0f64,
     ) {
-        let detector = monitors()[index % monitors().len()].detector();
+        let detector = &detectors()[index % detectors().len()];
         let bytes = encode_fleet(detector, shards, digest, &[]);
         let restored = decode_fleet(&bytes, digest).expect("clean image decodes");
         prop_assert_eq!(restored.lost_sections, 0);

@@ -1,12 +1,17 @@
-//! Property-based tests on the monitor snapshot codec: a save→load→save
-//! cycle is byte-identical for arbitrary trained-detector
-//! configurations, and any single-byte corruption is detected and
-//! refused — a corrupted snapshot is never deserialized into a monitor.
+//! Property-based tests on fleet snapshot integrity: flipping any
+//! single byte of a fleet image is either refused, or it loses only
+//! the stream section it hit (and, when it hit a section's length
+//! field, the sections framed after it). A corrupted section is never
+//! deserialized into a stream — every stream that does restore is
+//! exactly the one that was saved.
 
 use std::sync::OnceLock;
 
-use hbmd::core::snapshot::{decode, encode, MonitorSnapshot};
-use hbmd::core::{ClassifierKind, DetectorBuilder, FeatureSet, OnlineDetector};
+use hbmd::core::snapshot::{decode_fleet, encode_fleet, fleet_stream_section_spans, StreamSection};
+use hbmd::core::{
+    ClassifierKind, Detector, DetectorBuilder, FeatureSet, StreamHealth, StreamHealthConfig,
+    StreamState,
+};
 use hbmd::events::{FeatureVector, HpcEvent};
 use hbmd::malware::{AppClass, SampleId};
 use hbmd::perf::{DataRow, HpcDataset};
@@ -16,127 +21,124 @@ fn features(level: f64) -> FeatureVector {
     FeatureVector::from_slice(&[level; HpcEvent::COUNT]).expect("full-width vector")
 }
 
-/// A tiny, perfectly separable dataset: benign rows at 1.0, malware
-/// rows at 100.0 on every feature — enough to train any scheme fast.
-fn synthetic_dataset() -> HpcDataset {
-    let mut rows = Vec::new();
-    for i in 0..40 {
-        let class = AppClass::ALL[i % AppClass::COUNT];
-        let level = if class == AppClass::Benign {
-            1.0
-        } else {
-            100.0
-        };
-        rows.push(DataRow {
-            sample: SampleId(i as u32),
-            class,
-            features: features(level),
-        });
-    }
-    HpcDataset::from_rows(rows)
-}
-
-/// The "arbitrary trained-detector configs" axis: scheme, feature
-/// projection, vote-window shape, and hysteresis all vary. Training is
-/// the expensive part, so the monitors are built once and cloned into
-/// each proptest case.
-fn monitors() -> &'static Vec<OnlineDetector> {
-    static MONITORS: OnceLock<Vec<OnlineDetector>> = OnceLock::new();
-    MONITORS.get_or_init(|| {
-        let dataset = synthetic_dataset();
-        let configs: &[(ClassifierKind, FeatureSet, usize, usize, usize, usize)] = &[
-            (ClassifierKind::ZeroR, FeatureSet::Full16, 3, 2, 1, 1),
-            (ClassifierKind::OneR, FeatureSet::Top(8), 4, 3, 2, 2),
-            (
-                ClassifierKind::DecisionStump,
-                FeatureSet::Full16,
-                5,
-                3,
-                3,
-                2,
-            ),
-            (ClassifierKind::J48, FeatureSet::Top(8), 4, 3, 2, 6),
-            (ClassifierKind::NaiveBayes, FeatureSet::Full16, 8, 5, 1, 4),
-            (ClassifierKind::Logistic, FeatureSet::Top(8), 2, 1, 1, 1),
-            (ClassifierKind::RandomForest, FeatureSet::Full16, 6, 4, 2, 3),
-        ];
-        configs
-            .iter()
-            .map(|&(kind, features, window, threshold, raise, clear)| {
-                let detector = DetectorBuilder::new()
-                    .classifier(kind)
-                    .feature_set(features)
-                    .train_binary(&dataset)
-                    .expect("train on separable data");
-                OnlineDetector::builder(detector)
-                    .window(window)
-                    .threshold(threshold)
-                    .hysteresis(raise, clear)
-                    .build()
-                    .expect("valid monitor config")
+/// The "arbitrary trained-detector configs" axis. Training is the
+/// expensive part, so the detectors are built once and shared.
+fn detectors() -> &'static Vec<Detector> {
+    static DETECTORS: OnceLock<Vec<Detector>> = OnceLock::new();
+    DETECTORS.get_or_init(|| {
+        let rows: Vec<DataRow> = (0..40)
+            .map(|i| {
+                let class = AppClass::ALL[i % AppClass::COUNT];
+                let level = if class == AppClass::Benign {
+                    1.0
+                } else {
+                    100.0
+                };
+                DataRow {
+                    sample: SampleId(i as u32),
+                    class,
+                    features: features(level),
+                }
             })
-            .collect()
+            .collect();
+        let dataset = HpcDataset::from_rows(rows);
+        [
+            (ClassifierKind::OneR, FeatureSet::Top(8)),
+            (ClassifierKind::J48, FeatureSet::Top(8)),
+            (ClassifierKind::Logistic, FeatureSet::Full16),
+            (ClassifierKind::RandomForest, FeatureSet::Full16),
+        ]
+        .iter()
+        .map(|&(kind, features)| {
+            DetectorBuilder::new()
+                .classifier(kind)
+                .feature_set(features)
+                .train_binary(&dataset)
+                .expect("train on separable data")
+        })
+        .collect()
     })
 }
 
-/// A monitor with live state: feed a mixed stream so the vote ring,
-/// streak counters, and (sometimes) the latch all carry data into the
-/// snapshot.
-fn live_monitor(index: usize, warm_windows: usize) -> OnlineDetector {
-    let pool = monitors();
-    let mut monitor = pool[index % pool.len()].clone();
-    for i in 0..warm_windows {
-        let window = if i % 3 == 0 {
-            features(1.0)
-        } else {
-            features(100.0)
-        };
-        monitor.observe(&window);
-    }
-    monitor
+/// Streams with live state: a mixed window feed leaves data in every
+/// vote ring, streak counter and (sometimes) the latch.
+fn live_sections(detector: &Detector, streams: u64, warm: usize) -> Vec<StreamSection> {
+    (0..streams)
+        .map(|stream| {
+            let mut state = StreamState::new(4, 3, 2, 2).expect("static shape");
+            let mut health = StreamHealth::new(StreamHealthConfig::default());
+            for i in 0..warm + stream as usize {
+                let level = if i % 3 == 0 { 1.0 } else { 100.0 };
+                state.observe(detector, &features(level));
+                health.record(i % 5 == 0);
+            }
+            StreamSection {
+                stream,
+                cursor: stream * 97 + warm as u64,
+                state,
+                health,
+            }
+        })
+        .collect()
+}
+
+/// One section's bytes, for comparing a restored stream with its
+/// original: a one-section image carries exactly that section's frame.
+fn section_bytes(detector: &Detector, section: &StreamSection) -> Vec<u8> {
+    encode_fleet(detector, 1, 0, std::slice::from_ref(section))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn roundtrip_is_lossless_for_any_config(
-        index in 0usize..7,
+    fn any_single_byte_flip_is_refused_or_loses_only_what_it_hit(
+        index in 0usize..4,
+        streams in 1u64..6,
         warm in 0usize..24,
-        cursor in 0u64..=u64::MAX,
-        digest in 0u64..=u64::MAX,
-    ) {
-        let snap = MonitorSnapshot::new(live_monitor(index, warm), cursor, digest);
-        let bytes = encode(&snap);
-        let back = decode(&bytes, digest).expect("decode own encoding");
-        prop_assert_eq!(back.cursor, cursor);
-        prop_assert_eq!(back.config_digest, digest);
-        // Byte-identical re-encoding is the losslessness proof: every
-        // field the codec carries survived, including NaN payloads.
-        prop_assert_eq!(encode(&back), bytes);
-    }
-
-    #[test]
-    fn any_single_byte_corruption_is_refused(
-        index in 0usize..7,
-        warm in 0usize..24,
-        cursor in 0u64..=u64::MAX,
         digest in 0u64..=u64::MAX,
         position in 0usize..1_000_000,
         mask in 1u8..=255,
     ) {
-        let snap = MonitorSnapshot::new(live_monitor(index, warm), cursor, digest);
-        let mut bytes = encode(&snap);
+        let detector = &detectors()[index];
+        let sections = live_sections(detector, streams, warm);
+        let mut bytes = encode_fleet(detector, 2, digest, &sections);
+        let spans = fleet_stream_section_spans(&bytes).expect("clean image");
         let at = position % bytes.len();
         bytes[at] ^= mask;
-        // Never deserialized: every flipped bit lands in a typed error
-        // (bad magic, checksum mismatch, version/digest mismatch) —
-        // whichever field it hit, the load is refused.
+
+        // Which stream frame (length field, payload, checksum) the flip
+        // landed in, and whether it hit the length field; `None` means
+        // the header or the detector section.
+        let hit = spans
+            .iter()
+            .position(|span| at + 8 >= span.start && at < span.end + 8)
+            .map(|victim| (victim, at < spans[victim].start));
+
+        let Ok(back) = decode_fleet(&bytes, digest) else {
+            // Refused outright: nothing was deserialized.
+            return;
+        };
+        let (victim, length_field) =
+            hit.expect("a header or detector flip must refuse the whole image");
+        prop_assert_eq!(back.streams.len() + back.lost_sections, sections.len());
+        for restored in &back.streams {
+            let original = &sections[restored.stream as usize];
+            prop_assert_eq!(
+                section_bytes(detector, restored),
+                section_bytes(detector, original),
+                "stream {} restored different from what was saved",
+                restored.stream
+            );
+        }
+        let ids: Vec<u64> = back.streams.iter().map(|s| s.stream).collect();
+        prop_assert!(!ids.contains(&(victim as u64)), "hit stream {} survived", victim);
         prop_assert!(
-            decode(&bytes, digest).is_err(),
-            "flipping byte {} with mask {:#04x} was accepted",
-            at,
-            mask
+            (0..victim as u64).all(|s| ids.contains(&s)),
+            "a stream framed before the hit one was lost"
         );
+        if !length_field {
+            prop_assert_eq!(back.lost_sections, 1, "a payload or checksum flip lost more than its section");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! go out through the JSONL sink, and the trace analyzer rebuilds the
 //! *exact* span tree — same shape, same durations — from the log.
 //!
-//! Installs serialize on the process-wide obs lock (see
+//! Each test installs its own obs context on its own thread (see
 //! `observability.rs`), so these tests never bleed into each other.
 
 use std::sync::Arc;
