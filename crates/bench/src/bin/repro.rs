@@ -969,8 +969,7 @@ fn run_chaos(
     // restart must fall back pristine and still converge on the
     // baseline.
     let mut bytes = std::fs::read(&checkpoint)?;
-    let detector_span = snapshot::fleet_detector_span(&bytes)?;
-    bytes[detector_span.start] ^= 0x01;
+    bytes[snapshot::FLEET_DETECTOR_PAYLOAD_OFFSET] ^= 0x01;
     std::fs::write(&checkpoint, &bytes)?;
     let refusal = snapshot::load_fleet(&checkpoint, digest);
     check(

@@ -996,17 +996,16 @@ fn window_event(
 /// disagreement crossed the stream's suspicion threshold: the measured
 /// dispersion next to the threshold, both in permille.
 fn disagreement_event(
-    detector: &Detector,
     state: &StreamState,
     stream: u64,
     cursor: u64,
-    window: &FeatureVector,
+    dispersion: f64,
 ) -> RecorderEvent {
     let permille = |x: f64| (x.clamp(0.0, 1.0) * 1000.0).round() as u16;
     RecorderEvent::Disagreement {
         stream,
         cursor,
-        dispersion_permille: permille(detector.suspicion(window).unwrap_or(0.0)),
+        dispersion_permille: permille(dispersion),
         threshold_permille: permille(state.suspicion_threshold().unwrap_or(0.0)),
     }
 }
@@ -1130,16 +1129,10 @@ fn shard_worker(
                         ctx.shard as u32,
                         &window_event(cell.stream, cursor, verdict, faulted, &window),
                     );
-                    if cell.state.last_window_suspicious() {
+                    if let Some(dispersion) = cell.state.last_window_suspicion() {
                         hub.record(
                             ctx.shard as u32,
-                            &disagreement_event(
-                                &ctx.detector,
-                                &cell.state,
-                                cell.stream,
-                                cursor,
-                                &window,
-                            ),
+                            &disagreement_event(&cell.state, cell.stream, cursor, dispersion),
                         );
                     }
                 }

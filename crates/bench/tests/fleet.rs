@@ -94,22 +94,28 @@ fn shard_kill_is_invisible_behind_the_bulkhead() {
     let checkpoint = scratch("kill.snap");
     let _ = std::fs::remove_file(&checkpoint);
     let victim = shard_of(0, shards);
-    let faulted = run_fleet(
-        &detector,
-        &sampler,
-        &FleetConfig {
-            checkpoint_every: 16,
-            checkpoint_path: Some(checkpoint.clone()),
-            config_digest: 0xBEEF,
-            panic_at: vec![(victim, windows / 2)],
-            ..config(streams, shards, windows)
-        },
-    )
-    .expect("faulted run");
+    let faulted_config = FleetConfig {
+        checkpoint_every: 16,
+        checkpoint_path: Some(checkpoint.clone()),
+        config_digest: 0xBEEF,
+        panic_at: vec![(victim, windows / 2)],
+        ..config(streams, shards, windows)
+    };
+    let faulted = run_fleet(&detector, &sampler, &faulted_config).expect("faulted run");
     assert_eq!(faulted.restarts, 1, "one restart for the injected panic");
     assert_eq!(
         faulted.shards[victim].restarts, 1,
         "the restart happened on the victim shard"
+    );
+    assert!(
+        faulted.shards[victim].max_missed_gap
+            <= faulted_config.checkpoint_every + faulted_config.queue_capacity as u64,
+        "victim replay gap {} exceeds checkpoint spacing + queue depth",
+        faulted.shards[victim].max_missed_gap
+    );
+    assert!(
+        checkpoint.exists(),
+        "clean shutdown flushes a final checkpoint"
     );
     for shard in faulted.shards.iter().filter(|s| s.shard != victim) {
         assert_eq!(shard.restarts, 0, "shard {} restarted", shard.shard);

@@ -108,9 +108,10 @@ pub struct StreamState {
     /// pre-adversarial behaviour, and the only option for single-model
     /// schemes, which report no dispersion).
     suspicion_threshold: Option<f64>,
-    /// Whether the most recent window tripped the disagreement alarm
-    /// (transient, like the derived caches — not snapshotted).
-    last_suspicious: bool,
+    /// The committee dispersion of the most recent window when it
+    /// tripped the disagreement alarm (transient, like the derived
+    /// caches — not snapshotted).
+    last_suspicion: Option<f64>,
 }
 
 /// Builder for [`OnlineDetector`]: voting window, alarm threshold, and
@@ -221,7 +222,7 @@ impl OnlineDetectorBuilder {
                 clean_streak: 0,
                 latched: None,
                 suspicion_threshold: self.suspicion_threshold,
-                last_suspicious: false,
+                last_suspicion: None,
             },
         })
     }
@@ -290,7 +291,7 @@ impl OnlineDetector {
     /// while no [suspicion
     /// threshold](OnlineDetectorBuilder::suspicion_threshold) is armed.
     pub fn last_window_suspicious(&self) -> bool {
-        self.state.last_window_suspicious()
+        self.state.last_window_suspicion().is_some()
     }
 
     /// Feed one sampling window; returns the aggregated decision.
@@ -350,7 +351,7 @@ impl StreamState {
             clean_streak: 0,
             latched: None,
             suspicion_threshold: None,
-            last_suspicious: false,
+            last_suspicion: None,
         })
     }
 
@@ -386,10 +387,10 @@ impl StreamState {
         self.history.back().is_some_and(|v| v.is_abstain())
     }
 
-    /// `true` when the most recently observed window tripped the
-    /// ensemble-disagreement alarm.
-    pub fn last_window_suspicious(&self) -> bool {
-        self.last_suspicious
+    /// The committee dispersion of the most recently observed window
+    /// when it tripped the ensemble-disagreement alarm, else `None`.
+    pub fn last_window_suspicion(&self) -> Option<f64> {
+        self.last_suspicion
     }
 
     /// The armed disagreement threshold, if any.
@@ -402,11 +403,11 @@ impl StreamState {
     pub fn observe(&mut self, detector: &Detector, window: &FeatureVector) -> OnlineVerdict {
         let _latency = hbmd_obs::timer("online.observe_ns");
         hbmd_obs::incr("online.windows_observed");
-        self.last_suspicious = false;
+        self.last_suspicion = None;
         if let Some(limit) = self.suspicion_threshold {
             if let Some(dispersion) = detector.suspicion(window) {
                 if dispersion >= limit {
-                    self.last_suspicious = true;
+                    self.last_suspicion = Some(dispersion);
                     hbmd_obs::incr("online.disagreement_trips");
                 }
             }
@@ -518,7 +519,7 @@ impl StreamState {
         self.alarm_streak = 0;
         self.clean_streak = 0;
         self.latched = None;
-        self.last_suspicious = false;
+        self.last_suspicion = None;
     }
 }
 
@@ -547,7 +548,7 @@ impl Snap for StreamState {
                 votes.snap(w);
             }
         }
-        // v2 tail: the disagreement-alarm arm state. `last_suspicious`
+        // v2 tail: the disagreement-alarm arm state. `last_suspicion`
         // is transient and rebuilt at the next observe, not encoded.
         match self.suspicion_threshold {
             None => w.put_u8(0),
@@ -617,7 +618,7 @@ impl Snap for StreamState {
             clean_streak,
             latched,
             suspicion_threshold,
-            last_suspicious: false,
+            last_suspicion: None,
         })
     }
 }

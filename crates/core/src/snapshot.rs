@@ -182,6 +182,11 @@ pub const FLEET_MAGIC: &[u8; 8] = b"HBMDFLTS";
 
 const FLEET_HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;
 
+/// Offset of the first detector-section payload byte in every fleet
+/// image: the header, then the detector frame's 8-byte length field.
+/// A flip here always refuses the whole file.
+pub const FLEET_DETECTOR_PAYLOAD_OFFSET: usize = FLEET_HEADER_LEN + 8;
+
 /// One stream's slice of a fleet snapshot: identity, resume cursor,
 /// vote/hysteresis state, and health standing.
 #[derive(Debug, Clone)]
@@ -437,24 +442,6 @@ pub fn load_fleet(path: &Path, expected_digest: u64) -> Result<FleetRestore, Sna
     decode_fleet(&bytes, expected_digest)
 }
 
-/// The payload byte span of the detector section in a fleet image —
-/// the chaos drill flips a byte here to force a whole-file refusal.
-///
-/// # Errors
-///
-/// Returns a [`SnapshotError`] when the image's framing cannot be
-/// walked (bad magic, truncated header or frame).
-pub fn fleet_detector_span(bytes: &[u8]) -> Result<std::ops::Range<usize>, SnapshotError> {
-    if bytes.len() < FLEET_HEADER_LEN || &bytes[..FLEET_MAGIC.len()] != FLEET_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let Some(frame) = read_frame(bytes, FLEET_HEADER_LEN) else {
-        return Err(SnapshotError::Truncated);
-    };
-    let start = FLEET_HEADER_LEN + 8;
-    Ok(start..start + frame.payload.len())
-}
-
 /// The payload byte span of every *stream* section in a fleet image,
 /// in file order — the corruption-targeting helper the chaos drill and
 /// the isolation proptests use to hit exactly one section.
@@ -466,10 +453,15 @@ pub fn fleet_detector_span(bytes: &[u8]) -> Result<std::ops::Range<usize>, Snaps
 pub fn fleet_stream_section_spans(
     bytes: &[u8],
 ) -> Result<Vec<std::ops::Range<usize>>, SnapshotError> {
-    let detector = fleet_detector_span(bytes)?;
+    if bytes.len() < FLEET_HEADER_LEN || &bytes[..FLEET_MAGIC.len()] != FLEET_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
     let section_count = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
+    let Some(detector_frame) = read_frame(bytes, FLEET_HEADER_LEN) else {
+        return Err(SnapshotError::Truncated);
+    };
     let mut spans = Vec::new();
-    let mut offset = detector.end + 8;
+    let mut offset = detector_frame.next_offset;
     for _ in 0..section_count {
         let Some(frame) = read_frame(bytes, offset) else {
             return Err(SnapshotError::Truncated);
@@ -597,10 +589,8 @@ mod tests {
         assert!(decode_fleet(&evil, 0xFEED).is_err());
 
         // Detector payload corruption is caught wholesale.
-        let detector_span = fleet_detector_span(&bytes).expect("walk framing");
-        assert_eq!(detector_span.start, FLEET_HEADER_LEN + 8);
         let mut evil = bytes.clone();
-        evil[detector_span.start] ^= 0x01;
+        evil[FLEET_DETECTOR_PAYLOAD_OFFSET] ^= 0x01;
         assert!(matches!(
             decode_fleet(&evil, 0xFEED),
             Err(SnapshotError::ChecksumMismatch { .. })

@@ -1,8 +1,11 @@
 //! Property-based tests on the multiplexed fleet snapshot codec: an
 //! encode→decode→encode cycle is byte-identical for arbitrary fleets of
-//! live streams, a single corrupted stream section is lost *alone*
-//! (every other stream still restores), and corruption anywhere in the
-//! header or shared-detector section refuses the whole file.
+//! live streams over every scheme and vote-window/hysteresis shape,
+//! flipping any single byte of a stream frame loses that stream *alone*
+//! (plus the streams framed after it when the flip hit the frame's
+//! length field), every stream that does restore is exactly the one
+//! that was saved, and corruption anywhere in the header or
+//! shared-detector section refuses the whole file.
 
 use std::sync::OnceLock;
 
@@ -48,8 +51,12 @@ fn detectors() -> &'static Vec<Detector> {
         let dataset = synthetic_dataset();
         [
             (ClassifierKind::ZeroR, FeatureSet::Full16),
+            (ClassifierKind::OneR, FeatureSet::Top(8)),
+            (ClassifierKind::DecisionStump, FeatureSet::Full16),
             (ClassifierKind::J48, FeatureSet::Top(8)),
             (ClassifierKind::NaiveBayes, FeatureSet::Full16),
+            (ClassifierKind::Logistic, FeatureSet::Top(8)),
+            (ClassifierKind::RandomForest, FeatureSet::Full16),
             (ClassifierKind::RandomForest, FeatureSet::Top(8)),
         ]
         .iter()
@@ -64,14 +71,29 @@ fn detectors() -> &'static Vec<Detector> {
     })
 }
 
-/// A fleet of live stream sections: each stream's vote ring, hysteresis
-/// streaks, health machine, and cursor all carry data shaped by its id
-/// and the case seed, so the codec sees latched alarms, mid-quarantine
-/// states, and NaN-free/NaN-bearing rings alike.
+/// Vote-window shapes `(window, threshold, raise_after, clear_after)`:
+/// short and long rings, immediate and delayed raise, slow clears.
+const SHAPES: [(usize, usize, usize, usize); 7] = [
+    (3, 2, 1, 1),
+    (4, 3, 2, 2),
+    (5, 3, 3, 2),
+    (4, 3, 2, 6),
+    (8, 5, 1, 4),
+    (2, 1, 1, 1),
+    (6, 4, 2, 3),
+];
+
+/// A fleet of live stream sections: each stream's vote-window shape,
+/// ring, hysteresis streaks, health machine, and cursor all carry data
+/// shaped by its id and the case seed, so the codec sees latched
+/// alarms, mid-quarantine states, and NaN-free/NaN-bearing rings alike.
 fn live_sections(detector: &Detector, streams: u64, seed: u64) -> Vec<StreamSection> {
     (0..streams)
         .map(|stream| {
-            let mut state = StreamState::new(4, 3, 2, 2).expect("static shape");
+            let (window, threshold, raise, clear) =
+                SHAPES[((seed % SHAPES.len() as u64 + stream) % SHAPES.len() as u64) as usize];
+            let mut state =
+                StreamState::new(window, threshold, raise, clear).expect("static shape");
             let warm = ((seed ^ stream) % 24) as usize;
             for i in 0..warm {
                 let window = if (i as u64 + stream).is_multiple_of(3) {
@@ -100,7 +122,7 @@ proptest! {
 
     #[test]
     fn fleet_roundtrip_is_lossless(
-        index in 0usize..4,
+        index in 0usize..8,
         streams in 1u64..12,
         shards in 1u32..16,
         seed in 0u64..=u64::MAX,
@@ -124,8 +146,8 @@ proptest! {
 
     #[test]
     fn corrupt_stream_section_is_lost_alone(
-        index in 0usize..4,
-        streams in 2u64..12,
+        index in 0usize..8,
+        streams in 1u64..12,
         seed in 0u64..=u64::MAX,
         digest in 0u64..=u64::MAX,
         victim in 0usize..1_000,
@@ -138,26 +160,60 @@ proptest! {
         let spans = fleet_stream_section_spans(&bytes).expect("clean file");
         prop_assert_eq!(spans.len() as u64, streams);
         let victim = victim % spans.len();
-        let span = spans[victim].clone();
-        let at = span.start + position % span.len();
+        // The victim's whole frame: length field, payload, checksum.
+        let frame = spans[victim].start - 8..spans[victim].end + 8;
+        let at = frame.start + position % frame.len();
+        let length_field = at < spans[victim].start;
         bytes[at] ^= mask;
 
-        // The fleet still restores: only the victim falls out.
-        let back = decode_fleet(&bytes, digest).expect("per-section fallback");
-        prop_assert_eq!(back.lost_sections, 1);
-        prop_assert_eq!(back.streams.len() as u64, streams - 1);
-        let victim_id = sections[victim].stream;
-        prop_assert!(
-            back.streams.iter().all(|s| s.stream != victim_id),
-            "victim stream {} still present after corruption at byte {}",
-            victim_id,
-            at
-        );
+        match decode_fleet(&bytes, digest) {
+            Ok(back) => {
+                prop_assert_eq!(back.streams.len() + back.lost_sections, sections.len());
+                let ids: Vec<u64> = back.streams.iter().map(|s| s.stream).collect();
+                prop_assert!(
+                    !ids.contains(&sections[victim].stream),
+                    "victim stream {} still present after corruption at byte {}",
+                    victim,
+                    at
+                );
+                prop_assert!(
+                    sections[..victim].iter().all(|s| ids.contains(&s.stream)),
+                    "a stream framed before the hit one was lost"
+                );
+                if !length_field {
+                    prop_assert_eq!(
+                        back.lost_sections,
+                        1,
+                        "a payload or checksum flip lost more than its section"
+                    );
+                }
+                // A corrupted section is never deserialized: every
+                // stream that restores is byte-for-byte the one saved.
+                let kept: Vec<StreamSection> = sections
+                    .iter()
+                    .filter(|s| ids.contains(&s.stream))
+                    .cloned()
+                    .collect();
+                prop_assert_eq!(
+                    encode_fleet(detector, 4, digest, &back.streams),
+                    encode_fleet(detector, 4, digest, &kept)
+                );
+            }
+            // A length-field hit leaves the framing after it untrusted,
+            // so refusing the whole file is also safe there — but a
+            // payload or checksum flip must fall back per stream.
+            Err(e) => prop_assert!(
+                length_field,
+                "flip at byte {} in a payload or checksum refused the fleet: {}",
+                at,
+                e
+            ),
+        }
     }
 
     #[test]
     fn corrupt_header_or_detector_refuses_the_fleet(
-        index in 0usize..4,
+        index in 0usize..8,
         streams in 1u64..8,
         seed in 0u64..=u64::MAX,
         digest in 0u64..=u64::MAX,
