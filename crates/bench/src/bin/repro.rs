@@ -240,8 +240,8 @@ fn main() -> ExitCode {
         let span = hbmd_obs::span!("experiment", name = experiment.as_str());
         let result = run(experiment, &config, &cache);
         drop(span);
-        let windows_per_sec = match result {
-            Ok(rate) => rate,
+        let (windows_per_sec, parts) = match result {
+            Ok(rates) => rates,
             Err(e) => {
                 eprintln!("{experiment}: {e}");
                 return ExitCode::FAILURE;
@@ -252,6 +252,7 @@ fn main() -> ExitCode {
             wall_ms: phase_started.elapsed().as_millis(),
             windows_per_sec,
         });
+        report.phases.extend(parts);
         println!();
     }
     report.total_ms = started.elapsed().as_millis();
@@ -1594,15 +1595,18 @@ fn render_bundle_report(
     Ok(out)
 }
 
+/// Run one experiment. Returns the phase's own throughput, if it
+/// measures one, and the rows of any parts it times separately (named
+/// `phase/part`), which the report lists right after the phase.
 fn run(
     experiment: &str,
     config: &ExperimentConfig,
     cache: &CollectCache,
-) -> Result<Option<f64>, Box<dyn std::error::Error>> {
+) -> Result<(Option<f64>, Vec<PhaseTiming>), Box<dyn std::error::Error>> {
     match experiment {
-        "fleet" => return Ok(Some(fleet_phase(config, cache)?)),
-        "predict" => return Ok(Some(predict_phase(config, cache)?)),
-        "adversarial" => return Ok(Some(adversarial_phase(config, cache)?)),
+        "fleet" => return Ok((Some(fleet_phase(config, cache)?), Vec::new())),
+        "predict" => return Ok((None, predict_phase(config, cache)?)),
+        "adversarial" => return Ok((Some(adversarial_phase(config, cache)?), Vec::new())),
         "table1" => table1(config, cache),
         "fig6" => fig6(config, cache),
         "table2" => table2(config, cache)?,
@@ -1627,7 +1631,7 @@ fn run(
         "ablate-mlp" => ablate_mlp(config, cache)?,
         other => return Err(format!("unknown experiment `{other}`").into()),
     }
-    Ok(None)
+    Ok((None, Vec::new()))
 }
 
 /// The `fleet` bench phase: run a small sharded fleet at full speed and
@@ -1684,13 +1688,14 @@ fn fleet_phase(
 /// The `predict` bench phase: fit every compilable scheme, lower it
 /// through the compilation pass, and report the compiled evaluator's
 /// footprint (deterministic: stdout) plus its batched columnar
-/// throughput (machine-dependent: stderr and `BENCH_repro.json`). The
-/// returned rate is the fastest per-scheme batch throughput, so `repro
-/// bench-diff` gates compiled prediction speed alongside wall-clock.
+/// throughput (machine-dependent: stderr and `BENCH_repro.json`). Each
+/// scheme is one `predict/<scheme>` row with its own wall-clock and
+/// rate, so `repro bench-diff` gates every scheme's prediction speed:
+/// a slower RandomForest cannot hide behind a fast REPTree.
 fn predict_phase(
     config: &ExperimentConfig,
     cache: &CollectCache,
-) -> Result<f64, Box<dyn std::error::Error>> {
+) -> Result<Vec<PhaseTiming>, Box<dyn std::error::Error>> {
     println!("## Predict: compiled evaluator footprint and batched throughput");
     let collection = cache.collect(config)?;
     let data = to_binary_dataset(&collection.dataset);
@@ -1709,8 +1714,9 @@ fn predict_phase(
         ClassifierKind::RandomForest,
     ];
     let mut table = TextTable::new(vec!["scheme", "accuracy %", "nodes", "bytes"]);
-    let mut best = 0.0f64;
+    let mut timings = Vec::with_capacity(kinds.len());
     for kind in kinds {
+        let scheme_started = Instant::now();
         let mut model = kind.instantiate();
         model.fit(&train)?;
         let accuracy = Evaluation::of(&model, &test).accuracy();
@@ -1739,10 +1745,14 @@ fn predict_phase(
             kind.name(),
             rate,
         );
-        best = best.max(rate);
+        timings.push(PhaseTiming {
+            name: format!("predict/{}", kind.name()),
+            wall_ms: scheme_started.elapsed().as_millis(),
+            windows_per_sec: Some(rate),
+        });
     }
     print!("{}", table.render());
-    Ok(best)
+    Ok(timings)
 }
 
 /// The `adversarial` bench phase: craft plausibility-constrained

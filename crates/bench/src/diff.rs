@@ -440,8 +440,30 @@ mod tests {
     fn committed_baseline_and_ci_gate_run_the_gated_phases() {
         let baseline = parse_report(include_str!("../../../BENCH_repro.json"))
             .expect("committed baseline parses");
-        let phases: Vec<&str> = baseline.phases.iter().map(|p| p.0.as_str()).collect();
+        // Rows named `phase/part` are parts a phase times on its own.
+        let (phases, parts): (Vec<&str>, Vec<&str>) = baseline
+            .phases
+            .iter()
+            .map(|p| p.0.as_str())
+            .partition(|name| !name.contains('/'));
         assert_eq!(phases, crate::GATE_PHASES);
+        // Every compiled scheme's predict rate is gated on its own.
+        let schemes = [
+            "OneR",
+            "JRip",
+            "J48",
+            "REPTree",
+            "AdaBoostM1",
+            "Bagging",
+            "RandomForest",
+        ];
+        let expected: Vec<String> = schemes.iter().map(|s| format!("predict/{s}")).collect();
+        assert_eq!(parts, expected);
+        for (name, _, rate) in &baseline.phases {
+            if name.starts_with("predict/") {
+                assert!(rate.is_some_and(|r| r > 0.0), "{name} has no rate");
+            }
+        }
 
         let ci = include_str!("../../../.github/workflows/ci.yml");
         let gate_job = &ci[ci.find("bench-gate:").expect("bench-gate job")..];

@@ -90,17 +90,30 @@ impl Access {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp; larger is more recent.
-    lru: u64,
-}
+/// Tag of a way that holds no line. Only a cache with 1-byte lines and a
+/// single set can produce this tag for real data, so a tag match is
+/// confirmed against the line's stamp (see [`Cache`]).
+const INVALID_TAG: u64 = u64::MAX;
 
 /// A set-associative, write-back, write-allocate cache with LRU
 /// replacement.
+///
+/// Lines are stored as a structure of arrays indexed by
+/// `set * associativity + way`:
+///
+/// * `tags` — the tag, `u64::MAX` while the way is empty, so the
+///   way scan of a lookup reads only this array;
+/// * `stamps` — the LRU stamp (the access clock at the last touch);
+///   larger is more recent and 0 means the way was never filled, so a
+///   line is valid exactly when its stamp is non-zero;
+/// * `dirty` — the write-back bit.
+///
+/// The most recently accessed line is memoized: a repeat access to the
+/// same line (straight-line fetch, a walk within one line) skips the set
+/// lookup. A miss fills the first empty way, else the way with the
+/// smallest stamp, which is the least recently used one: every access
+/// stamps exactly one line with a fresh clock value, so the stamps of
+/// the valid lines in a set are distinct and ordered by recency.
 ///
 /// # Examples
 ///
@@ -115,8 +128,13 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    /// `(line address, line index)` of the most recently accessed line.
+    mru: Option<(u64, usize)>,
     set_mask: u64,
+    set_bits: u32,
     line_shift: u32,
     clock: u64,
     hits: u64,
@@ -136,10 +154,15 @@ impl Cache {
             panic!("invalid cache config: {msg}");
         }
         let sets = config.sets();
+        let lines = sets * config.associativity;
         Cache {
             config,
-            lines: vec![Line::default(); sets * config.associativity],
+            tags: vec![INVALID_TAG; lines],
+            stamps: vec![0; lines],
+            dirty: vec![false; lines],
+            mru: None,
             set_mask: (sets - 1) as u64,
+            set_bits: sets.trailing_zeros(),
             line_shift: config.line_bytes.trailing_zeros(),
             clock: 0,
             hits: 0,
@@ -160,53 +183,59 @@ impl Cache {
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
         self.clock += 1;
         let line_addr = addr >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
+        if let Some((mru_addr, line)) = self.mru {
+            if mru_addr == line_addr {
+                return self.hit(line, write);
+            }
+        }
         let ways = self.config.associativity;
-        let base = set * ways;
+        let base = (line_addr & self.set_mask) as usize * ways;
+        let tag = line_addr >> self.set_bits;
 
-        // Hit path.
-        for way in 0..ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.clock;
-                line.dirty |= write;
-                self.hits += 1;
-                return Access::Hit;
+        // Hit path: scan the set's tags. Ways fill in order and empty
+        // only all at once, so a set's empty ways come after its valid
+        // ones and the first matching way is the one to confirm.
+        let set = &self.tags[base..base + ways];
+        if let Some(way) = set.iter().position(|&t| t == tag) {
+            let line = base + way;
+            if self.stamps[line] != 0 {
+                self.mru = Some((line_addr, line));
+                return self.hit(line, write);
             }
         }
 
-        // Miss: pick the invalid way, else the LRU way.
+        // Miss: the first empty way (stamp 0), else the LRU way — the
+        // first way with the smallest stamp covers both.
         self.misses += 1;
         let mut victim = base;
         let mut oldest = u64::MAX;
-        for way in 0..ways {
-            let line = &self.lines[base + way];
-            if !line.valid {
-                victim = base + way;
-                break;
-            }
-            if line.lru < oldest {
-                oldest = line.lru;
-                victim = base + way;
+        for (line, &stamp) in (base..).zip(&self.stamps[base..base + ways]) {
+            if stamp < oldest {
+                oldest = stamp;
+                victim = line;
             }
         }
-        let evicted_dirty = {
-            let line = &self.lines[victim];
-            line.valid && line.dirty
-        };
+        // An empty way is never dirty: only `reset` empties ways, and it
+        // clears the dirty bits too.
+        let evicted_dirty = self.dirty[victim];
         if evicted_dirty {
             self.writebacks += 1;
         }
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: self.clock,
-        };
+        self.tags[victim] = tag;
+        self.stamps[victim] = self.clock;
+        self.dirty[victim] = write;
+        self.mru = Some((line_addr, victim));
         Access::Miss {
             writeback: evicted_dirty,
         }
+    }
+
+    /// Touch the resident `line`: refresh its stamp, merge the write.
+    fn hit(&mut self, line: usize, write: bool) -> Access {
+        self.stamps[line] = self.clock;
+        self.dirty[line] |= write;
+        self.hits += 1;
+        Access::Hit
     }
 
     /// Hits since construction or the last [`reset`](Cache::reset).
@@ -236,7 +265,10 @@ impl Cache {
 
     /// Invalidate all lines and zero the statistics.
     pub fn reset(&mut self) {
-        self.lines.fill(Line::default());
+        self.tags.fill(INVALID_TAG);
+        self.stamps.fill(0);
+        self.dirty.fill(false);
+        self.mru = None;
         self.clock = 0;
         self.hits = 0;
         self.misses = 0;

@@ -68,6 +68,8 @@ pub struct Cpu {
     stats: ExecutionStats,
     /// Fractional cycle accumulator for the base-IPC issue model.
     issue_debt: f64,
+    /// `1 / base_ipc`: the issue cost of one instruction, in cycles.
+    issue_cost: f64,
 }
 
 impl Cpu {
@@ -90,6 +92,7 @@ impl Cpu {
             counters: CounterSet::new(),
             stats: ExecutionStats::default(),
             issue_debt: 0.0,
+            issue_cost: 1.0 / config.base_ipc,
             config,
         }
     }
@@ -227,7 +230,7 @@ impl Cpu {
         }
 
         // --- Timing: fractional base issue cost plus stall penalties ---
-        self.issue_debt += 1.0 / self.config.base_ipc;
+        self.issue_debt += self.issue_cost;
         let issued = self.issue_debt as u64;
         self.issue_debt -= issued as f64;
         self.stats.instructions += 1;

@@ -25,7 +25,26 @@ impl TlbConfig {
     }
 }
 
+/// Marks an empty index bucket and the ends of the recency list.
+const NIL: usize = usize::MAX;
+
 /// A fully-associative, LRU translation lookaside buffer.
+///
+/// Both a hit and a miss cost O(1), whatever the entry count:
+///
+/// * each resident page sits in a *slot*; slots are threaded on an
+///   intrusive doubly-linked recency list, head = most recently used,
+///   tail = least recently used, so a hit moves its slot to the head
+///   and a miss on a full TLB reuses the tail slot;
+/// * an open-addressed (linear probing, Fibonacci hashing,
+///   backward-shift deletion) page→slot index finds a page's slot,
+///   sized to at least 4× the entries so probes stay short;
+/// * a translation for the page at the head of the list is answered
+///   before the index is probed: consecutive fetches and stack accesses
+///   mostly stay on one page.
+///
+/// Only the set of resident pages and their recency order decide hits
+/// and evictions; which slot a page occupies is never observable.
 ///
 /// # Examples
 ///
@@ -39,12 +58,30 @@ impl TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    /// `(page_number, lru_stamp)` per entry; `u64::MAX` page = invalid.
-    entries: Vec<(u64, u64)>,
+    /// Resident page, recency links per slot; slots `0..len` are in use.
+    slots: Vec<Slot>,
+    len: usize,
+    /// Most recently used slot (`NIL` when empty).
+    head: usize,
+    /// Least recently used slot (`NIL` when empty).
+    tail: usize,
+    /// Page→slot hash index; `NIL` marks an empty bucket.
+    index: Vec<usize>,
+    /// `64 - log2(index.len())`: keeps the top bits of the hash product.
+    hash_shift: u32,
     page_shift: u32,
-    clock: u64,
     hits: u64,
     misses: u64,
+}
+
+/// One TLB entry threaded on the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    page: u64,
+    /// Neighbour toward the MRU end (`NIL` at the head).
+    prev: usize,
+    /// Neighbour toward the LRU end (`NIL` at the tail).
+    next: usize,
 }
 
 impl Tlb {
@@ -60,11 +97,23 @@ impl Tlb {
             config.page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
+        let buckets = config.entries.saturating_mul(4).next_power_of_two();
         Tlb {
             config,
-            entries: vec![(u64::MAX, 0); config.entries],
+            slots: vec![
+                Slot {
+                    page: 0,
+                    prev: NIL,
+                    next: NIL,
+                };
+                config.entries
+            ],
+            len: 0,
+            head: NIL,
+            tail: NIL,
+            index: vec![NIL; buckets],
+            hash_shift: 64 - buckets.trailing_zeros(),
             page_shift: config.page_bytes.trailing_zeros(),
-            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -78,24 +127,104 @@ impl Tlb {
     /// Translate `addr`; returns `true` on a hit. A miss installs the
     /// translation, evicting the LRU entry.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         let page = addr >> self.page_shift;
-        let mut victim = 0usize;
-        let mut oldest = u64::MAX;
-        for (i, entry) in self.entries.iter_mut().enumerate() {
-            if entry.0 == page {
-                entry.1 = self.clock;
+        if self.head != NIL && self.slots[self.head].page == page {
+            self.hits += 1;
+            return true;
+        }
+        let mut bucket = self.home(page);
+        loop {
+            let slot = self.index[bucket];
+            if slot == NIL {
+                break;
+            }
+            if self.slots[slot].page == page {
+                self.unlink(slot);
+                self.push_front(slot);
                 self.hits += 1;
                 return true;
             }
-            if entry.1 < oldest {
-                oldest = entry.1;
-                victim = i;
+            bucket = (bucket + 1) & (self.index.len() - 1);
+        }
+
+        self.misses += 1;
+        let slot = if self.len < self.slots.len() {
+            self.len += 1;
+            self.len - 1
+        } else {
+            let lru = self.tail;
+            self.unindex(self.slots[lru].page);
+            self.unlink(lru);
+            lru
+        };
+        self.slots[slot].page = page;
+        self.push_front(slot);
+        // The eviction may have shifted entries back into the probe run,
+        // so the empty bucket found above can be stale: probe again.
+        let mut bucket = self.home(page);
+        while self.index[bucket] != NIL {
+            bucket = (bucket + 1) & (self.index.len() - 1);
+        }
+        self.index[bucket] = slot;
+        false
+    }
+
+    /// Home bucket of `page` in the index.
+    fn home(&self, page: u64) -> usize {
+        (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.hash_shift) as usize
+    }
+
+    /// Remove `page` (which must be indexed) from the index, shifting
+    /// later members of its probe run back so no tombstone is needed.
+    fn unindex(&mut self, page: u64) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.home(page);
+        while self.slots[self.index[hole]].page != page {
+            hole = (hole + 1) & mask;
+        }
+        let mut probe = hole;
+        loop {
+            probe = (probe + 1) & mask;
+            let slot = self.index[probe];
+            if slot == NIL {
+                break;
+            }
+            // The entry may fill the hole unless its home lies
+            // cyclically in (hole, probe].
+            let home = self.home(self.slots[slot].page);
+            if probe.wrapping_sub(home) & mask >= probe.wrapping_sub(hole) & mask {
+                self.index[hole] = slot;
+                hole = probe;
             }
         }
-        self.misses += 1;
-        self.entries[victim] = (page, self.clock);
-        false
+        self.index[hole] = NIL;
+    }
+
+    /// Detach `slot` from the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.slots[prev].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.slots[next].prev = prev;
+        }
+    }
+
+    /// Attach a detached `slot` at the MRU end of the recency list.
+    fn push_front(&mut self, slot: usize) {
+        self.slots[slot].prev = NIL;
+        self.slots[slot].next = self.head;
+        if self.head == NIL {
+            self.tail = slot;
+        } else {
+            self.slots[self.head].prev = slot;
+        }
+        self.head = slot;
     }
 
     /// Hits so far.
@@ -120,8 +249,10 @@ impl Tlb {
 
     /// Invalidate all entries and zero statistics.
     pub fn reset(&mut self) {
-        self.entries.fill((u64::MAX, 0));
-        self.clock = 0;
+        self.index.fill(NIL);
+        self.len = 0;
+        self.head = NIL;
+        self.tail = NIL;
         self.hits = 0;
         self.misses = 0;
     }
@@ -176,6 +307,19 @@ mod tests {
         t.reset();
         assert_eq!(t.misses(), 0);
         assert!(!t.access(0));
+    }
+
+    #[test]
+    fn top_page_is_an_ordinary_page() {
+        // With 1-byte pages, address u64::MAX is page u64::MAX: a cold
+        // miss like any other, never a match on an empty entry.
+        let mut t = Tlb::new(TlbConfig {
+            entries: 2,
+            page_bytes: 1,
+        });
+        assert!(!t.access(u64::MAX));
+        assert!(t.access(u64::MAX));
+        assert_eq!((t.hits(), t.misses()), (1, 1));
     }
 
     #[test]
